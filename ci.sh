@@ -16,6 +16,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark: nicbench builds and passes its tests against the current API"
+cargo test --release --offline -q --manifest-path nicbench/Cargo.toml
+
 echo "==> chaos invariants under pinned seeds"
 HNI_CHAOS_SEEDS="20260806,1991" cargo test -q -p hni-bench --test chaos
 

@@ -39,19 +39,19 @@
 //! Ids are case-insensitive and the hyphen is optional (`rf1` ≡ `r-f1`).
 
 use hni_bench::{
-    bottleneck_report, diff_report, exemplars_report, folded_report, hist_report,
-    metrics_experiment, normalize_id, prom_report, run_experiment, sampled_trace_experiment,
-    tail_report, topvc_report, trace_experiment, EXPERIMENT_IDS, HIST_IDS, PROFILE_IDS, TAIL_IDS,
-    TOPVC_IDS, TRACEABLE_IDS,
+    bottleneck_report, diff_report, exemplars_report, folded_report, hist_report, ids_supporting,
+    list_report, metrics_experiment, normalize_id, prom_report, run_experiment,
+    sampled_trace_experiment, tail_report, topvc_report, trace_experiment, EXPERIMENTS,
 };
 use hni_telemetry::SentinelRecord;
 
 /// Resolve `args[1]` as the id a capability subcommand operates on, or
 /// exit 2 with a usage line naming the ids that support it.
-fn capability_id_or_exit(args: &[String], what: &str, supported: &[&str]) -> String {
+fn capability_id_or_exit(args: &[String], what: &str) -> String {
     match args.get(1) {
         Some(id) => normalize_id(id),
         None => {
+            let supported = ids_supporting(supported_by(what));
             eprintln!("usage: report {what} <id>; supported ids: {supported:?}");
             std::process::exit(2);
         }
@@ -59,13 +59,24 @@ fn capability_id_or_exit(args: &[String], what: &str, supported: &[&str]) -> Str
 }
 
 /// Print a capability rendering, or exit 2 with the supported set.
-fn print_or_exit(out: Option<String>, id: &str, what: &str, supported: &[&str]) {
+fn print_or_exit(out: Option<String>, id: &str, what: &str) {
     match out {
         Some(text) => print!("{text}"),
         None => {
+            let supported = ids_supporting(supported_by(what));
             eprintln!("experiment '{id}' does not support '{what}'; supported ids: {supported:?}");
             std::process::exit(2);
         }
+    }
+}
+
+/// The view whose ids a subcommand's "supported ids" message names:
+/// `promlint` checks the `prom` exposition ids.
+fn supported_by(what: &str) -> &str {
+    if what == "promlint" {
+        "prom"
+    } else {
+        what
     }
 }
 
@@ -85,38 +96,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None | Some("all") => {
-            for id in EXPERIMENT_IDS {
+            for e in &EXPERIMENTS {
                 println!("{}", "=".repeat(78));
-                println!("{}", run_experiment(id).expect("known id"));
+                println!("{}", (e.run)());
             }
         }
-        Some("list") => {
-            for id in EXPERIMENT_IDS {
-                let mut caps = Vec::new();
-                if TRACEABLE_IDS.contains(&id) {
-                    caps.extend(["trace", "metrics"]);
-                }
-                if PROFILE_IDS.contains(&id) {
-                    caps.extend(["profile", "bottleneck", "prom"]);
-                }
-                if HIST_IDS.contains(&id) {
-                    caps.push("hist");
-                }
-                if TOPVC_IDS.contains(&id) {
-                    caps.push("topvc");
-                }
-                if TAIL_IDS.contains(&id) {
-                    caps.extend(["tail", "exemplars"]);
-                }
-                if caps.is_empty() {
-                    println!("{id}");
-                } else {
-                    println!("{id}  [{}]", caps.join(" "));
-                }
-            }
-        }
+        Some("list") => print!("{}", list_report()),
         Some("--trace" | "trace") => {
-            let id = capability_id_or_exit(&args, "trace", &TRACEABLE_IDS);
+            let id = capability_id_or_exit(&args, "trace");
             let events = match flag_value::<u64>(&args, "--sample") {
                 Some(one_in) => {
                     let seed = flag_value::<u64>(&args, "--seed").unwrap_or(0);
@@ -128,44 +115,44 @@ fn main() {
                 events.map(|ev| hni_telemetry::jsonl::to_jsonl(&ev)),
                 &id,
                 "trace",
-                &TRACEABLE_IDS,
             );
         }
         Some("metrics") => {
-            let id = capability_id_or_exit(&args, "metrics", &TRACEABLE_IDS);
-            print_or_exit(metrics_experiment(&id), &id, "metrics", &TRACEABLE_IDS);
+            let id = capability_id_or_exit(&args, "metrics");
+            print_or_exit(metrics_experiment(&id), &id, "metrics");
         }
         Some("profile") => {
-            let id = capability_id_or_exit(&args, "profile", &PROFILE_IDS);
-            print_or_exit(folded_report(&id), &id, "profile", &PROFILE_IDS);
+            let id = capability_id_or_exit(&args, "profile");
+            print_or_exit(folded_report(&id), &id, "profile");
         }
         Some("bottleneck") => {
-            let id = capability_id_or_exit(&args, "bottleneck", &PROFILE_IDS);
-            print_or_exit(bottleneck_report(&id), &id, "bottleneck", &PROFILE_IDS);
+            let id = capability_id_or_exit(&args, "bottleneck");
+            print_or_exit(bottleneck_report(&id), &id, "bottleneck");
         }
         Some("prom") => {
-            let id = capability_id_or_exit(&args, "prom", &PROFILE_IDS);
-            print_or_exit(prom_report(&id), &id, "prom", &PROFILE_IDS);
+            let id = capability_id_or_exit(&args, "prom");
+            print_or_exit(prom_report(&id), &id, "prom");
         }
         Some("hist") => {
-            let id = capability_id_or_exit(&args, "hist", &HIST_IDS);
-            print_or_exit(hist_report(&id), &id, "hist", &HIST_IDS);
+            let id = capability_id_or_exit(&args, "hist");
+            print_or_exit(hist_report(&id), &id, "hist");
         }
         Some("topvc") => {
-            let id = capability_id_or_exit(&args, "topvc", &TOPVC_IDS);
-            print_or_exit(topvc_report(&id), &id, "topvc", &TOPVC_IDS);
+            let id = capability_id_or_exit(&args, "topvc");
+            print_or_exit(topvc_report(&id), &id, "topvc");
         }
         Some("tail") => {
-            let id = capability_id_or_exit(&args, "tail", &TAIL_IDS);
-            print_or_exit(tail_report(&id), &id, "tail", &TAIL_IDS);
+            let id = capability_id_or_exit(&args, "tail");
+            print_or_exit(tail_report(&id), &id, "tail");
         }
         Some("exemplars") => {
-            let id = capability_id_or_exit(&args, "exemplars", &TAIL_IDS);
-            print_or_exit(exemplars_report(&id), &id, "exemplars", &TAIL_IDS);
+            let id = capability_id_or_exit(&args, "exemplars");
+            print_or_exit(exemplars_report(&id), &id, "exemplars");
         }
         Some("diff") => {
             let (Some(a), Some(b)) = (args.get(1), args.get(2)) else {
-                eprintln!("usage: report diff <a> <b>; ids with histograms: {HIST_IDS:?}");
+                let hist_ids = ids_supporting("hist");
+                eprintln!("usage: report diff <a> <b>; ids with histograms: {hist_ids:?}");
                 std::process::exit(2);
             };
             match diff_report(&normalize_id(a), &normalize_id(b)) {
@@ -180,7 +167,7 @@ fn main() {
             // Run every live exposition the id supports (`prom` profile
             // gauges, `hist` histogram families) through the expfmt
             // conformance validator; exit 2 on the first violation.
-            let id = capability_id_or_exit(&args, "promlint", &PROFILE_IDS);
+            let id = capability_id_or_exit(&args, "promlint");
             let mut checked = 0usize;
             if let Some(text) = prom_report(&id) {
                 lint_or_exit(&id, "prom", &text);
@@ -201,8 +188,9 @@ fn main() {
                 }
             }
             if checked == 0 {
+                let supported = ids_supporting("prom");
                 eprintln!(
-                    "experiment '{id}' exposes no Prometheus text; supported ids: {PROFILE_IDS:?}"
+                    "experiment '{id}' exposes no Prometheus text; supported ids: {supported:?}"
                 );
                 std::process::exit(2);
             }

@@ -4,11 +4,11 @@
 use crate::table::{fmt_bps, fmt_pct, Table};
 use hni_aal::AalType;
 use hni_core::engine::HwPartition;
-use hni_core::rxsim::{run_rx, run_rx_instrumented, run_rx_profiled, RxConfig, RxWorkload};
+use hni_core::rxsim::{run_rx, run_rx_with, RxConfig, RxReport, RxWorkload};
 use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
-use hni_sim::{Duration, Time};
+use hni_sim::{Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{CycleProfiler, Profile, TraceEvent, VecTracer};
+use hni_telemetry::{Profiler, Tracer};
 
 /// Packet sizes swept (octets).
 pub const SIZES: [usize; 5] = [64, 1024, 4096, 9180, 65000];
@@ -56,33 +56,13 @@ pub fn sweep(pkts_per_vc: usize) -> Vec<Point> {
     })
 }
 
-/// The canonical run itself (paper split, OC-12 full line load,
-/// 4 VCs × 9180-octet packets) — the always-on telemetry (latency
-/// histogram, per-connection top-K) rides along in the report.
-pub fn canonical_run() -> hni_core::rxsim::RxReport {
+/// The canonical point (paper split, OC-12 full line load, 4 VCs ×
+/// 9180-octet packets) run with the given observers — the one run the
+/// `report` trace, metrics, profile, histogram and per-VC views read.
+pub fn canonical(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> RxReport {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    run_rx(&cfg, &wl)
-}
-
-/// Capture the receive-pipeline event trace for the table's canonical
-/// point: paper split, OC-12 full line load, 4 VCs × 9180-octet packets.
-pub fn trace_run() -> Vec<TraceEvent> {
-    let mut tracer = VecTracer::new();
-    let cfg = RxConfig::paper(LineRate::Oc12);
-    let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    run_rx_instrumented(&cfg, &wl, &mut tracer);
-    tracer.into_events()
-}
-
-/// Cycle-profile the same canonical point the trace capture uses.
-/// Returns the profile and the run's goodput.
-pub fn profile_run() -> (Profile, f64) {
-    let cfg = RxConfig::paper(LineRate::Oc12);
-    let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    let mut prof = CycleProfiler::new();
-    let (r, _) = run_rx_profiled(&cfg, &wl, &mut prof);
-    (prof.snapshot(r.run_end), r.goodput_bps)
+    run_rx_with(&cfg, &wl, &FaultPlan::NONE, 0, tracer, profiler).0
 }
 
 /// Host-side comparison: CPU utilization delivering 9180-octet packets

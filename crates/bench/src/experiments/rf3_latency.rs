@@ -6,13 +6,13 @@ use hni_aal::AalType;
 use hni_analysis::latency::unloaded_latency;
 use hni_atm::VcId;
 use hni_core::bus::BusConfig;
-use hni_core::e2esim::{run_e2e, run_e2e_instrumented, run_e2e_profiled};
+use hni_core::e2esim::{run_e2e, run_e2e_with, E2eReport};
 use hni_core::engine::HwPartition;
 use hni_core::rxsim::RxConfig;
-use hni_core::txsim::{greedy_workload, run_tx, TxConfig};
-use hni_sim::Duration;
+use hni_core::txsim::{greedy_workload, run_tx, TxConfig, TxPacket};
+use hni_sim::{Duration, FaultPlan};
 use hni_sonet::LineRate;
-use hni_telemetry::{CycleProfiler, Profile, TraceEvent, VecTracer};
+use hni_telemetry::{NullProfiler, NullTracer, Profiler, TraceEvent, Tracer, VecTracer};
 
 /// Packet sizes swept.
 pub const SIZES: [usize; 5] = [64, 1024, 9180, 32768, 65000];
@@ -26,58 +26,35 @@ pub const TRACE_LEN: usize = 9180;
 /// per-stage breakdown.
 pub fn trace_run(len: usize) -> Vec<TraceEvent> {
     let mut tracer = VecTracer::new();
-    run_e2e_instrumented(
-        &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
+    e2e(
         &greedy_workload(1, len, VcId::new(0, 32)),
-        PROPAGATION,
         &mut tracer,
+        &mut NullProfiler,
     );
     tracer.into_events()
 }
 
-/// The canonical loaded end-to-end run (20 × 9180-octet packets, the
-/// same point `profile_run` uses) — the always-on telemetry (tx/rx/e2e
-/// latency histograms, per-VC top-K) rides along in the report.
-pub fn canonical_run() -> hni_core::e2esim::E2eReport {
-    run_e2e(
-        &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
+/// The canonical loaded end-to-end run (20 × 9180-octet packets) with
+/// the given observers. Unlike the single-packet trace, a steady-state
+/// backlog gives every path resource a meaningful utilization to rank
+/// and a latency tail to attribute; the `report` profile, histogram,
+/// per-VC and tail views all read this run.
+pub fn canonical(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> E2eReport {
+    e2e(
         &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
-        PROPAGATION,
+        tracer,
+        profiler,
     )
 }
 
-/// The canonical loaded run with its full event trace captured: the
-/// tail attribution joins the report's exemplar reservoir against the
-/// span index of the *same* run, so it needs both. Tracing does not
-/// perturb the simulation — the report equals [`canonical_run`]'s.
-pub fn canonical_trace() -> (hni_core::e2esim::E2eReport, Vec<TraceEvent>) {
-    let mut tracer = VecTracer::new();
-    let r = run_e2e_instrumented(
-        &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
-        &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
-        PROPAGATION,
-        &mut tracer,
+/// The paper-split OC-12 path, fault-free, over `packets`.
+fn e2e(packets: &[TxPacket], tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> E2eReport {
+    let (tx, rx) = (
+        TxConfig::paper(LineRate::Oc12),
+        RxConfig::paper(LineRate::Oc12),
     );
-    (r, tracer.into_events())
-}
-
-/// Cycle-profile a loaded end-to-end run (20 × 9180-octet packets):
-/// unlike the single-packet trace, a steady-state backlog gives every
-/// path resource a meaningful utilization to rank. Returns the profile
-/// and the run's goodput.
-pub fn profile_run() -> (Profile, f64) {
-    let mut prof = CycleProfiler::new();
-    let r = run_e2e_profiled(
-        &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
-        &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
-        PROPAGATION,
-        &mut prof,
-    );
-    (prof.snapshot(r.rx.run_end), r.goodput_bps)
+    let none = &FaultPlan::NONE;
+    run_e2e_with(&tx, &rx, packets, PROPAGATION, none, 0, tracer, profiler).0
 }
 
 /// Render the breakdown table.
@@ -142,7 +119,7 @@ pub fn run() -> String {
     // Percentile waterfall of the loaded canonical run: the unloaded
     // table above shows means; under a 20-packet backlog the tail is
     // the story, and the always-on histograms have it for free.
-    let loaded = canonical_run();
+    let loaded = canonical(&mut NullTracer, &mut NullProfiler);
     let mut w = Table::new([
         "loaded latency",
         "n",

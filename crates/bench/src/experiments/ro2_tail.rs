@@ -25,12 +25,12 @@ use crate::experiments::rf3_latency::PROPAGATION;
 use crate::table::Table;
 use hni_atm::VcId;
 use hni_core::bus::BusConfig;
-use hni_core::e2esim::run_e2e_instrumented;
+use hni_core::e2esim::run_e2e_with;
 use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, TxConfig, TxPacket};
-use hni_sim::{BusFaultPlan, Duration, Time};
+use hni_sim::{BusFaultPlan, Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute_tail, PacketSpans, TailAttribution, VecTracer};
+use hni_telemetry::{attribute_tail, NullProfiler, PacketSpans, TailAttribution, VecTracer};
 
 /// Packets offered (same size as the R-F3 canonical point).
 pub const PACKETS: usize = 20;
@@ -95,12 +95,15 @@ pub fn attribution_with(plan: BusFaultPlan) -> (Option<TailAttribution>, DmaStat
     let mut rx = RxConfig::paper(LineRate::Oc12);
     rx.bus_faults = plan;
     let mut tracer = VecTracer::new();
-    run_e2e_instrumented(
+    run_e2e_with(
         &TxConfig::paper(LineRate::Oc12),
         &rx,
         &paced_workload(),
         PROPAGATION,
+        &FaultPlan::NONE,
+        0,
         &mut tracer,
+        &mut NullProfiler,
     );
     let spans = PacketSpans::from_events(&tracer.into_events());
     let attr = attribute_tail(&spans);

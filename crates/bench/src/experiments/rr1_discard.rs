@@ -19,10 +19,11 @@
 
 use crate::table::{fmt_bps, Table};
 use hni_aal::AalType;
-use hni_core::rxsim::{run_rx_faulted, CellArrival, RxConfig, RxPktMeta, RxWorkload};
+use hni_core::rxsim::{run_rx_with, CellArrival, RxConfig, RxPktMeta, RxWorkload};
 use hni_core::DiscardPolicy;
 use hni_sim::{Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
+use hni_telemetry::{NullProfiler, NullTracer};
 
 /// Link cell-loss rates swept. 0.2% already dooms ~32% of 192-cell
 /// frames on survival alone — past that every policy starves.
@@ -120,7 +121,8 @@ pub fn measure(loss: f64, n_vcs: usize, pkts_per_vc: usize) -> Point {
         FaultPlan::NONE
     };
     let run = |policy: DiscardPolicy| {
-        let (r, _) = run_rx_faulted(&cfg_with(policy), &wl, &plan, SEED);
+        let cfg = cfg_with(policy);
+        let (r, _, _) = run_rx_with(&cfg, &wl, &plan, SEED, &mut NullTracer, &mut NullProfiler);
         debug_assert!(r.ledger.reconciles(), "{:?}", r.ledger);
         r.goodput_bps
     };

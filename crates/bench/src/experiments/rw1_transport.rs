@@ -37,7 +37,8 @@
 
 use crate::table::{fmt_bps, fmt_pct, Table};
 use hni_core::DiscardPolicy;
-use hni_faults::{scenarios, DelayModel, FaultPlan};
+use hni_sim::faults::scenarios;
+use hni_sim::{DelayModel, FaultPlan};
 use hni_sonet::LineRate;
 use hni_transport::{run_transport, TransportConfig, TransportReport};
 

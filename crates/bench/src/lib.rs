@@ -18,34 +18,225 @@ pub mod table;
 pub use par_sweep::{jobs_from_env, par_sweep, par_sweep_with_jobs};
 pub use table::Table;
 
-/// All experiment ids, in report order.
-pub const EXPERIMENT_IDS: [&str; 20] = [
-    "r-t1", "r-t2", "r-t3", "r-t4", "r-t5", "r-f1", "r-f2", "r-f3", "r-f4", "r-f5", "r-f6", "r-f7",
-    "r-f8", "r-a1", "r-a2", "r-o1", "r-o2", "r-r1", "r-w1", "r-s1",
+use experiments::*;
+use hni_core::E2eReport;
+use hni_telemetry::{
+    CycleProfiler, HdrHist, NullProfiler, NullTracer, Profile, Profiler, TraceEvent, Tracer,
+    VcMetrics, VecTracer,
+};
+
+/// A run's report together with the event trace of the same run.
+pub type Traced<R> = (R, Vec<TraceEvent>);
+
+/// A titled set of always-on latency series: `(stage label, histogram)`
+/// pairs from one canonical run.
+pub type HistSeries = (&'static str, Vec<(&'static str, HdrHist)>);
+
+/// One experiment: its report, plus a hook per `report` view family
+/// its canonical run can feed (`None` = view unsupported). `report
+/// list`, every view and every "supported ids" message read this one
+/// table, so a capability is declared exactly once.
+pub struct Experiment {
+    /// Report id, e.g. `r-f1`.
+    pub id: &'static str,
+    /// Render the experiment's report.
+    pub run: fn() -> String,
+    /// `trace` / `metrics`: the structured event trace.
+    pub trace: Option<fn() -> Vec<TraceEvent>>,
+    /// `profile` / `bottleneck` / `prom`: the cycle profile and the
+    /// run's goodput (the attribution ceiling's denominator).
+    pub profile: Option<fn() -> (Profile, f64)>,
+    /// `hist` / `diff`: the always-on latency series.
+    pub hist: Option<fn() -> HistSeries>,
+    /// `topvc`: a title and the per-VC cell metrics.
+    pub topvc: Option<fn() -> (&'static str, VcMetrics)>,
+    /// `tail` / `exemplars`: a loaded end-to-end report with the trace
+    /// of the same run. Only runs traced through *both* pipeline halves
+    /// qualify — the cohort attributor needs complete
+    /// descriptor→completion lives.
+    pub tail: Option<fn() -> Traced<E2eReport>>,
+}
+
+impl Experiment {
+    /// An experiment with a report and no view hooks.
+    const fn report_only(id: &'static str, run: fn() -> String) -> Self {
+        Experiment {
+            id,
+            run,
+            trace: None,
+            profile: None,
+            hist: None,
+            topvc: None,
+            tail: None,
+        }
+    }
+
+    /// The `report` views this experiment supports, in `report list`
+    /// order.
+    pub fn views(&self) -> Vec<&'static str> {
+        let mut views = Vec::new();
+        if self.trace.is_some() {
+            views.extend(["trace", "metrics"]);
+        }
+        if self.profile.is_some() {
+            views.extend(["profile", "bottleneck", "prom"]);
+        }
+        if self.hist.is_some() {
+            views.push("hist");
+        }
+        if self.topvc.is_some() {
+            views.push("topvc");
+        }
+        if self.tail.is_some() {
+            views.extend(["tail", "exemplars"]);
+        }
+        views
+    }
+}
+
+/// Run a canonical run with no observers attached.
+fn unobserved<R>(canonical: fn(&mut dyn Tracer, &mut dyn Profiler) -> R) -> R {
+    canonical(&mut NullTracer, &mut NullProfiler)
+}
+
+/// Run a canonical run under a [`VecTracer`]; return its report and the
+/// captured events.
+fn traced<R>(canonical: fn(&mut dyn Tracer, &mut dyn Profiler) -> R) -> Traced<R> {
+    let mut tracer = VecTracer::new();
+    let r = canonical(&mut tracer, &mut NullProfiler);
+    (r, tracer.into_events())
+}
+
+/// Every experiment, in report order.
+pub static EXPERIMENTS: [Experiment; 20] = [
+    Experiment::report_only("r-t1", rt1_budget::run),
+    Experiment::report_only("r-t2", rt2_partition::run),
+    Experiment::report_only("r-t3", rt3_memory::run),
+    Experiment::report_only("r-t4", rt4_pacing::run),
+    Experiment::report_only("r-t5", rt5_overhead::run),
+    Experiment {
+        trace: Some(|| traced(rf1_tx_throughput::canonical).1),
+        profile: Some(|| {
+            let mut prof = CycleProfiler::new();
+            let r = rf1_tx_throughput::canonical(&mut NullTracer, &mut prof);
+            (prof.snapshot(r.finished_at), r.goodput_bps)
+        }),
+        hist: Some(|| {
+            let r = unobserved(rf1_tx_throughput::canonical);
+            (
+                "R-F1 canonical transmit run (descriptor -> last cell on line)",
+                vec![("tx", r.latency_hist)],
+            )
+        }),
+        topvc: Some(|| {
+            let r = unobserved(rf1_tx_throughput::canonical);
+            ("R-F1 canonical transmit run", r.vc_cells)
+        }),
+        ..Experiment::report_only("r-f1", rf1_tx_throughput::run)
+    },
+    Experiment {
+        trace: Some(|| traced(rf2_rx_throughput::canonical).1),
+        profile: Some(|| {
+            let mut prof = CycleProfiler::new();
+            let r = rf2_rx_throughput::canonical(&mut NullTracer, &mut prof);
+            (prof.snapshot(r.run_end), r.goodput_bps)
+        }),
+        hist: Some(|| {
+            let r = unobserved(rf2_rx_throughput::canonical);
+            (
+                "R-F2 canonical receive run (first cell -> completion)",
+                vec![("rx", r.latency_hist)],
+            )
+        }),
+        topvc: Some(|| {
+            let r = unobserved(rf2_rx_throughput::canonical);
+            ("R-F2 canonical receive run", r.vc_cells)
+        }),
+        ..Experiment::report_only("r-f2", rf2_rx_throughput::run)
+    },
+    Experiment {
+        // The unloaded single-packet run: the waterfall's raw material.
+        trace: Some(|| rf3_latency::trace_run(rf3_latency::TRACE_LEN)),
+        profile: Some(|| {
+            let mut prof = CycleProfiler::new();
+            let r = rf3_latency::canonical(&mut NullTracer, &mut prof);
+            (prof.snapshot(r.rx.run_end), r.goodput_bps)
+        }),
+        hist: Some(|| {
+            let r = unobserved(rf3_latency::canonical);
+            (
+                "R-F3 canonical loaded end-to-end run (descriptor at A -> completion at B)",
+                vec![
+                    ("tx", r.tx.latency_hist),
+                    ("rx", r.rx.latency_hist),
+                    ("e2e", r.latency_hist),
+                ],
+            )
+        }),
+        topvc: Some(|| {
+            // End-to-end: the receive side saw every surviving cell.
+            let r = unobserved(rf3_latency::canonical);
+            (
+                "R-F3 canonical end-to-end run (receive side)",
+                r.rx.vc_cells,
+            )
+        }),
+        tail: Some(|| traced(rf3_latency::canonical)),
+        ..Experiment::report_only("r-f3", rf3_latency::run)
+    },
+    Experiment::report_only("r-f4", rf4_host_cpu::run),
+    Experiment::report_only("r-f5", rf5_loss::run),
+    Experiment::report_only("r-f6", rf6_bus::run),
+    Experiment::report_only("r-f7", rf7_delineation::run),
+    Experiment::report_only("r-f8", rf8_congestion::run),
+    Experiment::report_only("r-a1", ra1_fifo_depth::run),
+    Experiment::report_only("r-a2", ra2_mips::run),
+    Experiment::report_only("r-o1", ro1_bottleneck::run),
+    Experiment::report_only("r-o2", ro2_tail::run),
+    Experiment::report_only("r-r1", rr1_discard::run),
+    Experiment {
+        hist: Some(|| {
+            (
+                "R-W1 canonical closed-loop run (satellite path, 1% loss; \
+                 first transmission -> unique delivery)",
+                vec![("frame", rw1_transport::canonical_run().frame_latency)],
+            )
+        }),
+        ..Experiment::report_only("r-w1", rw1_transport::run)
+    },
+    Experiment::report_only("r-s1", rs1_scale::run),
 ];
 
-/// Experiment ids whose underlying runs can be captured as a trace
-/// (`report --trace <id>` / `report metrics <id>`).
-pub const TRACEABLE_IDS: [&str; 3] = ["r-f1", "r-f2", "r-f3"];
+/// Look an experiment up by (normalised) id.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
 
-/// Experiment ids whose canonical runs can be cycle-profiled
-/// (`report profile <id>` / `report bottleneck <id>` / `report prom <id>`).
-pub const PROFILE_IDS: [&str; 3] = ["r-f1", "r-f2", "r-f3"];
+/// The ids whose canonical run supports `view`, in report order — the
+/// list every "supported ids" message names.
+pub fn ids_supporting(view: &str) -> Vec<&'static str> {
+    EXPERIMENTS
+        .iter()
+        .filter(|e| e.views().contains(&view))
+        .map(|e| e.id)
+        .collect()
+}
 
-/// Experiment ids whose canonical runs report always-on latency
-/// histograms (`report hist <id>`).
-pub const HIST_IDS: [&str; 4] = ["r-f1", "r-f2", "r-f3", "r-w1"];
-
-/// Experiment ids whose canonical runs report per-VC heavy hitters
-/// (`report topvc <id>`).
-pub const TOPVC_IDS: [&str; 3] = ["r-f1", "r-f2", "r-f3"];
-
-/// Experiment ids supporting tail anatomy (`report tail <id>` /
-/// `report exemplars <id>`). Only runs traced through *both* pipeline
-/// halves qualify — the cohort attributor needs complete
-/// descriptor→completion lives, which tx- or rx-only canonical runs
-/// (r-f1, r-f2) cannot provide.
-pub const TAIL_IDS: [&str; 1] = ["r-f3"];
+/// The `report list` text: one line per id in report order, followed by
+/// the views its canonical run supports.
+pub fn list_report() -> String {
+    let mut out = String::new();
+    for e in &EXPERIMENTS {
+        let views = e.views();
+        if views.is_empty() {
+            out.push_str(e.id);
+        } else {
+            out.push_str(&format!("{}  [{}]", e.id, views.join(" ")));
+        }
+        out.push('\n');
+    }
+    out
+}
 
 /// Canonicalise a user-typed experiment id: lowercase, and accept the
 /// hyphenless shorthand ("RF1", "ro1") for the `r-xN` family.
@@ -63,13 +254,8 @@ pub fn normalize_id(id: &str) -> String {
 
 /// Cycle-profile one experiment's canonical run. Returns the profile
 /// and the run's goodput (bits/s), or `None` for unsupported ids.
-pub fn profile_experiment(id: &str) -> Option<(hni_telemetry::Profile, f64)> {
-    match id {
-        "r-f1" => Some(experiments::rf1_tx_throughput::profile_run()),
-        "r-f2" => Some(experiments::rf2_rx_throughput::profile_run()),
-        "r-f3" => Some(experiments::rf3_latency::profile_run()),
-        _ => None,
-    }
+pub fn profile_experiment(id: &str) -> Option<(Profile, f64)> {
+    Some((experiment(id)?.profile?)())
 }
 
 /// Folded-stack rendering of an experiment's profile (one
@@ -85,7 +271,6 @@ pub fn folded_report(id: &str) -> Option<String> {
 /// size of the throughput figure, naming the saturating resource at
 /// each point.
 pub fn bottleneck_report(id: &str) -> Option<String> {
-    use experiments::ro1_bottleneck;
     let (profile, goodput) = profile_experiment(id)?;
     let a = hni_telemetry::attribute(&profile, goodput);
     let mut out = a.render();
@@ -129,38 +314,10 @@ fn pct_row(stage: &str, h: &hni_telemetry::HdrHist) -> [String; 8] {
     ]
 }
 
-/// The always-on latency series of an experiment's canonical run:
-/// a title plus `(stage label, histogram)` pairs. Shared by
-/// [`hist_report`] and [`diff_report`].
-fn hist_series(id: &str) -> Option<(&'static str, Vec<(&'static str, hni_telemetry::HdrHist)>)> {
-    let mut series: Vec<(&'static str, hni_telemetry::HdrHist)> = Vec::new();
-    let title = match id {
-        "r-f1" => {
-            let r = experiments::rf1_tx_throughput::canonical_run();
-            series.push(("tx", r.latency_hist));
-            "R-F1 canonical transmit run (descriptor -> last cell on line)"
-        }
-        "r-f2" => {
-            let r = experiments::rf2_rx_throughput::canonical_run();
-            series.push(("rx", r.latency_hist));
-            "R-F2 canonical receive run (first cell -> completion)"
-        }
-        "r-f3" => {
-            let r = experiments::rf3_latency::canonical_run();
-            series.push(("tx", r.tx.latency_hist.clone()));
-            series.push(("rx", r.rx.latency_hist.clone()));
-            series.push(("e2e", r.latency_hist));
-            "R-F3 canonical loaded end-to-end run (descriptor at A -> completion at B)"
-        }
-        "r-w1" => {
-            let r = experiments::rw1_transport::canonical_run();
-            series.push(("frame", r.frame_latency));
-            "R-W1 canonical closed-loop run (satellite path, 1% loss; \
-             first transmission -> unique delivery)"
-        }
-        _ => return None,
-    };
-    Some((title, series))
+/// The always-on latency series of an experiment's canonical run.
+/// Shared by [`hist_report`] and [`diff_report`].
+fn hist_series(id: &str) -> Option<HistSeries> {
+    Some((experiment(id)?.hist?)())
 }
 
 /// Always-on latency-histogram report for an experiment's canonical
@@ -199,25 +356,7 @@ pub fn hist_report(id: &str) -> Option<String> {
 /// space-saving top-K by cell count, with overestimate bounds, plus
 /// the exact sharded totals.
 pub fn topvc_report(id: &str) -> Option<String> {
-    let (title, m) = match id {
-        "r-f1" => (
-            "R-F1 canonical transmit run",
-            experiments::rf1_tx_throughput::canonical_run().vc_cells,
-        ),
-        "r-f2" => (
-            "R-F2 canonical receive run",
-            experiments::rf2_rx_throughput::canonical_run().vc_cells,
-        ),
-        "r-f3" => {
-            let r = experiments::rf3_latency::canonical_run();
-            // End-to-end: the receive side saw every surviving cell.
-            (
-                "R-F3 canonical end-to-end run (receive side)",
-                r.rx.vc_cells,
-            )
-        }
-        _ => return None,
-    };
+    let (title, m) = (experiment(id)?.topvc?)();
     let total = m.shards.total_cells().max(1);
     let mut t = Table::new(["rank", "vc key", "cells (est)", "overest <=", "share"]);
     for (i, e) in m.top_cells.top().iter().enumerate() {
@@ -249,10 +388,7 @@ pub fn topvc_report(id: &str) -> Option<String> {
 /// blame headline, the tail-vs-median table, and the per-stage tail
 /// shares as Prometheus gauges.
 pub fn tail_report(id: &str) -> Option<String> {
-    if !TAIL_IDS.contains(&id) {
-        return None;
-    }
-    let (_, events) = experiments::rf3_latency::canonical_trace();
+    let (_, events) = (experiment(id)?.tail?)();
     let spans = hni_telemetry::PacketSpans::from_events(&events);
     let body = match hni_telemetry::attribute_tail(&spans) {
         Some(attr) => format!("{}\n{}", attr.render(), attr.prom()),
@@ -271,10 +407,7 @@ pub fn tail_report(id: &str) -> Option<String> {
 /// with their full span breakdowns, plus the deterministic p99+
 /// cohort sample (`report exemplars <id>`).
 pub fn exemplars_report(id: &str) -> Option<String> {
-    if !TAIL_IDS.contains(&id) {
-        return None;
-    }
-    let (report, events) = experiments::rf3_latency::canonical_trace();
+    let (report, events) = (experiment(id)?.tail?)();
     let spans = hni_telemetry::PacketSpans::from_events(&events);
     let mut t = Table::new(["rank", "vc key", "pkt", "latency us", "done us"]);
     let slowest = report.tail.slowest();
@@ -438,15 +571,8 @@ pub fn sampled_trace_experiment(
 
 /// Capture the structured event trace of one experiment's canonical
 /// run. Returns `None` for ids without trace support.
-pub fn trace_experiment(id: &str) -> Option<Vec<hni_telemetry::TraceEvent>> {
-    match id {
-        "r-f1" => Some(experiments::rf1_tx_throughput::trace_run()),
-        "r-f2" => Some(experiments::rf2_rx_throughput::trace_run()),
-        "r-f3" => Some(experiments::rf3_latency::trace_run(
-            experiments::rf3_latency::TRACE_LEN,
-        )),
-        _ => None,
-    }
+pub fn trace_experiment(id: &str) -> Option<Vec<TraceEvent>> {
+    Some((experiment(id)?.trace?)())
 }
 
 /// Derive and dump the metrics registry from an experiment's trace.
@@ -461,29 +587,7 @@ pub fn metrics_experiment(id: &str) -> Option<String> {
 
 /// Run one experiment by id, returning its rendered report.
 pub fn run_experiment(id: &str) -> Option<String> {
-    match id {
-        "r-t1" => Some(experiments::rt1_budget::run()),
-        "r-t2" => Some(experiments::rt2_partition::run()),
-        "r-t3" => Some(experiments::rt3_memory::run()),
-        "r-t4" => Some(experiments::rt4_pacing::run()),
-        "r-t5" => Some(experiments::rt5_overhead::run()),
-        "r-f1" => Some(experiments::rf1_tx_throughput::run()),
-        "r-f2" => Some(experiments::rf2_rx_throughput::run()),
-        "r-f3" => Some(experiments::rf3_latency::run()),
-        "r-f4" => Some(experiments::rf4_host_cpu::run()),
-        "r-f5" => Some(experiments::rf5_loss::run()),
-        "r-f6" => Some(experiments::rf6_bus::run()),
-        "r-f7" => Some(experiments::rf7_delineation::run()),
-        "r-f8" => Some(experiments::rf8_congestion::run()),
-        "r-a1" => Some(experiments::ra1_fifo_depth::run()),
-        "r-a2" => Some(experiments::ra2_mips::run()),
-        "r-o1" => Some(experiments::ro1_bottleneck::run()),
-        "r-o2" => Some(experiments::ro2_tail::run()),
-        "r-r1" => Some(experiments::rr1_discard::run()),
-        "r-w1" => Some(experiments::rw1_transport::run()),
-        "r-s1" => Some(experiments::rs1_scale::run()),
-        _ => None,
-    }
+    experiment(id).map(|e| (e.run)())
 }
 
 #[cfg(test)]
@@ -492,7 +596,7 @@ mod tests {
 
     #[test]
     fn every_id_runs_and_renders() {
-        for id in EXPERIMENT_IDS {
+        for id in EXPERIMENTS.iter().map(|e| e.id) {
             let out = run_experiment(id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(out.len() > 100, "{id} output suspiciously short");
             assert!(out.contains(&id.to_uppercase()), "{id} header missing");
@@ -517,7 +621,7 @@ mod tests {
 
     #[test]
     fn profile_ids_yield_profiles_and_renderings() {
-        for id in PROFILE_IDS {
+        for id in ids_supporting("profile") {
             let (profile, goodput) =
                 profile_experiment(id).unwrap_or_else(|| panic!("{id} unprofied"));
             assert!(profile.span() > hni_telemetry::Duration::ZERO, "{id}");
@@ -544,7 +648,7 @@ mod tests {
     #[test]
     fn rf1_bottleneck_report_names_resource_at_every_size() {
         let bn = bottleneck_report("r-f1").unwrap();
-        for size in experiments::rf1_tx_throughput::SIZES {
+        for size in rf1_tx_throughput::SIZES {
             assert!(bn.contains(&size.to_string()), "size {size} missing:\n{bn}");
         }
         assert!(bn.contains("engine") && bn.contains("link"), "{bn}");
@@ -552,7 +656,7 @@ mod tests {
 
     #[test]
     fn hist_ids_render_bands_and_conformant_exposition() {
-        for id in HIST_IDS {
+        for id in ids_supporting("hist") {
             let out = hist_report(id).unwrap_or_else(|| panic!("{id} missing hist"));
             for band in ["p50<=", "p90<=", "p99<=", "p999<=", "max us"] {
                 assert!(out.contains(band), "{id} missing {band}:\n{out}");
@@ -578,7 +682,7 @@ mod tests {
 
     #[test]
     fn topvc_ids_render_heavy_hitters() {
-        for id in TOPVC_IDS {
+        for id in ids_supporting("topvc") {
             let out = topvc_report(id).unwrap_or_else(|| panic!("{id} missing topvc"));
             assert!(out.contains("vc key"), "{id}:\n{out}");
             assert!(out.contains("exact totals:"), "{id}:\n{out}");
@@ -601,8 +705,14 @@ mod tests {
         // normalization as plain experiment ids (`RF1` == `r-f1`).
         for raw in ["RF1", "rf1"] {
             let id = normalize_id(raw);
-            assert!(HIST_IDS.contains(&id.as_str()), "{raw} -> {id}");
-            assert!(TOPVC_IDS.contains(&id.as_str()), "{raw} -> {id}");
+            assert!(
+                ids_supporting("hist").contains(&id.as_str()),
+                "{raw} -> {id}"
+            );
+            assert!(
+                ids_supporting("topvc").contains(&id.as_str()),
+                "{raw} -> {id}"
+            );
             assert!(hist_report(&id).is_some());
             assert!(topvc_report(&id).is_some());
         }
@@ -626,7 +736,7 @@ mod tests {
 
     #[test]
     fn traceable_ids_yield_events_and_metrics() {
-        for id in TRACEABLE_IDS {
+        for id in ids_supporting("trace") {
             let events = trace_experiment(id).unwrap_or_else(|| panic!("{id} untraceable"));
             assert!(events.len() > 50, "{id}: only {} events", events.len());
             // Times arrive in simulation order within each pipeline half.

@@ -13,10 +13,8 @@
 //! frame boundaries (cells ride a continuous slot stream; framing
 //! overhead is already accounted in the slot rate).
 
-use crate::rxsim::{
-    run_rx_faulted_full, run_rx_full, CellArrival, LinkFaults, RxConfig, RxPktMeta, RxWorkload,
-};
-use crate::txsim::{run_tx_full, TxConfig, TxPacket};
+use crate::rxsim::{run_rx_with, CellArrival, LinkFaults, RxConfig, RxPktMeta, RxWorkload};
+use crate::txsim::{run_tx_with, TxConfig, TxPacket};
 use hni_aal::AalType;
 use hni_sim::{Duration, FaultPlan, Summary, Time};
 use hni_telemetry::{HdrHist, NullProfiler, NullTracer, Profiler, TailReservoir, Tracer};
@@ -53,65 +51,11 @@ pub fn run_e2e(
     packets: &[TxPacket],
     propagation: Duration,
 ) -> E2eReport {
-    run_e2e_full(
-        tx_cfg,
-        rx_cfg,
-        packets,
-        propagation,
-        &mut NullTracer,
-        &mut NullProfiler,
-    )
-}
-
-/// [`run_e2e`] with a tracer observing both pipeline halves on one
-/// shared timeline: receive-side events carry wire-arrival clocks, so a
-/// single trace stream spans descriptor fetch at A through completion
-/// at B (the R-F3 waterfall's raw material).
-pub fn run_e2e_instrumented(
-    tx_cfg: &TxConfig,
-    rx_cfg: &RxConfig,
-    packets: &[TxPacket],
-    propagation: Duration,
-    tracer: &mut dyn Tracer,
-) -> E2eReport {
-    run_e2e_full(
-        tx_cfg,
-        rx_cfg,
-        packets,
-        propagation,
-        tracer,
-        &mut NullProfiler,
-    )
-}
-
-/// [`run_e2e`] with a profiler charging both pipeline halves onto one
-/// shared clock. The transmit adaptor's resources appear as `tx.*`, the
-/// receive adaptor's as `rx.*`, so a single profile ranks all nine
-/// path resources against each other — the bottleneck table R-O1 uses.
-pub fn run_e2e_profiled(
-    tx_cfg: &TxConfig,
-    rx_cfg: &RxConfig,
-    packets: &[TxPacket],
-    propagation: Duration,
-    profiler: &mut dyn Profiler,
-) -> E2eReport {
-    run_e2e_full(
-        tx_cfg,
-        rx_cfg,
-        packets,
-        propagation,
-        &mut NullTracer,
-        profiler,
-    )
+    run_e2e_faulted(tx_cfg, rx_cfg, packets, propagation, &FaultPlan::NONE, 0).0
 }
 
 /// [`run_e2e`] with a seeded [`FaultPlan`] standing between the two
-/// adaptors: the transmit pipeline's actual departures pass through the
-/// fault process (loss, corruption, duplication, reordering) before
-/// becoming the receive pipeline's arrivals. Returns what the link did
-/// alongside the report so callers can reconcile the cell ledger across
-/// the whole path. `FaultPlan::NONE` reproduces [`run_e2e`] exactly —
-/// byte-identical reports, zero RNG draws.
+/// adaptors (see [`run_e2e_with`]).
 pub fn run_e2e_faulted(
     tx_cfg: &TxConfig,
     rx_cfg: &RxConfig,
@@ -120,7 +64,7 @@ pub fn run_e2e_faulted(
     plan: &FaultPlan,
     seed: u64,
 ) -> (E2eReport, LinkFaults) {
-    run_e2e_faulted_full(
+    run_e2e_with(
         tx_cfg,
         rx_cfg,
         packets,
@@ -132,31 +76,25 @@ pub fn run_e2e_faulted(
     )
 }
 
-/// [`run_e2e_faulted`] with a tracer attached, so the metrics registry
-/// built from the trace can be reconciled against the cell ledger.
-pub fn run_e2e_faulted_instrumented(
-    tx_cfg: &TxConfig,
-    rx_cfg: &RxConfig,
-    packets: &[TxPacket],
-    propagation: Duration,
-    plan: &FaultPlan,
-    seed: u64,
-    tracer: &mut dyn Tracer,
-) -> (E2eReport, LinkFaults) {
-    run_e2e_faulted_full(
-        tx_cfg,
-        rx_cfg,
-        packets,
-        propagation,
-        plan,
-        seed,
-        tracer,
-        &mut NullProfiler,
-    )
-}
-
+/// [`run_e2e`] behind a seeded link [`FaultPlan`] and with observers
+/// attached.
+///
+/// The transmit pipeline's actual departures pass through the fault
+/// process (loss, corruption, duplication, reordering) before becoming
+/// the receive pipeline's arrivals; what the link did is returned
+/// alongside the report so callers can reconcile the cell ledger across
+/// the whole path. `FaultPlan::NONE` reproduces [`run_e2e`] exactly —
+/// byte-identical reports, zero RNG draws.
+///
+/// `tracer` observes both pipeline halves on one shared timeline:
+/// receive-side events carry wire-arrival clocks, so a single trace
+/// stream spans descriptor fetch at A through completion at B (the
+/// R-F3 waterfall's raw material). `profiler` charges both halves onto
+/// one shared clock — the transmit adaptor's resources as `tx.*`, the
+/// receive adaptor's as `rx.*` — so a single profile ranks every path
+/// resource against the others (the bottleneck table R-O1 uses).
 #[allow(clippy::too_many_arguments)]
-fn run_e2e_faulted_full(
+pub fn run_e2e_with(
     tx_cfg: &TxConfig,
     rx_cfg: &RxConfig,
     packets: &[TxPacket],
@@ -170,33 +108,13 @@ fn run_e2e_faulted_full(
         tx_cfg.aal, rx_cfg.aal,
         "both ends must speak the same adaptation layer"
     );
-    let (tx_report, departures) = run_tx_full(tx_cfg, packets, tracer, profiler);
+    let (tx_report, departures) = run_tx_with(tx_cfg, packets, tracer, profiler);
     let wl = rx_workload_from_departures(tx_cfg.aal, packets, &departures, propagation);
-    let (rx_report, completions, lf) =
-        run_rx_faulted_full(rx_cfg, &wl, plan, seed, tracer, profiler);
+    let (rx_report, completions, lf) = run_rx_with(rx_cfg, &wl, plan, seed, tracer, profiler);
     (
         assemble_report(packets, tx_report, rx_report, &completions),
         lf,
     )
-}
-
-/// The full-instrumentation entry: tracer and profiler together.
-pub(crate) fn run_e2e_full(
-    tx_cfg: &TxConfig,
-    rx_cfg: &RxConfig,
-    packets: &[TxPacket],
-    propagation: Duration,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
-) -> E2eReport {
-    assert_eq!(
-        tx_cfg.aal, rx_cfg.aal,
-        "both ends must speak the same adaptation layer"
-    );
-    let (tx_report, departures) = run_tx_full(tx_cfg, packets, tracer, profiler);
-    let wl = rx_workload_from_departures(tx_cfg.aal, packets, &departures, propagation);
-    let (rx_report, completions) = run_rx_full(rx_cfg, &wl, tracer, profiler);
-    assemble_report(packets, tx_report, rx_report, &completions)
 }
 
 /// Turn the transmit side's cell departures into the receive side's

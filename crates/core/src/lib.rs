@@ -36,13 +36,10 @@ pub use bus::{Bus, BusConfig};
 pub use cam::{Cam, CamResult};
 pub use config::NicConfig;
 pub use driver::{DriverConfig, DriverError, HostDriver, RxPacket};
-pub use e2esim::{
-    run_e2e, run_e2e_faulted, run_e2e_faulted_instrumented, run_e2e_instrumented, E2eReport,
-};
+pub use e2esim::{run_e2e, run_e2e_faulted, run_e2e_with, E2eReport};
 pub use engine::{HwPartition, ProtocolEngine, TaskCosts, TaskKind};
 pub use nic::{Nic, NicEvent};
 pub use rxsim::{
-    apply_faults, run_rx, run_rx_faulted, run_rx_faulted_instrumented, CellLedger, LinkFaults,
-    RxConfig, RxReport, RxWorkload,
+    apply_faults, run_rx, run_rx_with, CellLedger, LinkFaults, RxConfig, RxReport, RxWorkload,
 };
-pub use txsim::{greedy_workload, run_tx, TxConfig, TxPacket, TxReport};
+pub use txsim::{greedy_workload, run_tx, run_tx_with, TxConfig, TxPacket, TxReport};

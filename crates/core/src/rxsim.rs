@@ -444,73 +444,25 @@ pub fn run_rx(cfg: &RxConfig, wl: &RxWorkload) -> RxReport {
     run_rx_inner(cfg, wl, &mut None, &mut NullTracer, &mut NullProfiler)
 }
 
-/// Like [`run_rx`], additionally returning each packet's completion
-/// time (`None` for packets that never completed).
-pub fn run_rx_traced(cfg: &RxConfig, wl: &RxWorkload) -> (RxReport, Vec<Option<Time>>) {
-    let mut completions = Some(vec![None; wl.pkts.len()]);
-    let report = run_rx_inner(
-        cfg,
-        wl,
-        &mut completions,
-        &mut NullTracer,
-        &mut NullProfiler,
-    );
-    (report, completions.expect("trace requested"))
-}
-
-/// Like [`run_rx_traced`], emitting a structured [`TraceEvent`] at every
-/// pipeline stage boundary (cell arrival, FIFO admission/drop, per-cell
-/// engine spans, reassembly appends, validation, delivery DMA,
-/// completion) into `tracer`.
-pub fn run_rx_instrumented(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    tracer: &mut dyn Tracer,
-) -> (RxReport, Vec<Option<Time>>) {
-    run_rx_full(cfg, wl, tracer, &mut NullProfiler)
-}
-
-/// Like [`run_rx_traced`], charging every simulated interval into the
-/// cycle-accounting `profiler`: engine busy time and stalls
-/// (`rx.engine`), delivery-DMA bus cycles (`rx.bus`), arriving cell
-/// slots (`rx.link`), and the input-FIFO and reassembly-pool occupancy
-/// gauges (`rx.fifo`, `rx.pool`).
-pub fn run_rx_profiled(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    profiler: &mut dyn Profiler,
-) -> (RxReport, Vec<Option<Time>>) {
-    run_rx_full(cfg, wl, &mut NullTracer, profiler)
-}
-
-/// Run a workload through a seeded link [`FaultPlan`] and then the
-/// receive pipeline, folding the link's own losses into the report's
-/// [`CellLedger`] so the conservation invariant spans the whole path.
-pub fn run_rx_faulted(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    plan: &FaultPlan,
-    seed: u64,
-) -> (RxReport, LinkFaults) {
-    let (report, _, lf) =
-        run_rx_faulted_full(cfg, wl, plan, seed, &mut NullTracer, &mut NullProfiler);
-    (report, lf)
-}
-
-/// [`run_rx_faulted`] with a tracer attached (for metrics-registry
-/// reconciliation against the ledger).
-pub fn run_rx_faulted_instrumented(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    plan: &FaultPlan,
-    seed: u64,
-    tracer: &mut dyn Tracer,
-) -> (RxReport, LinkFaults) {
-    let (report, _, lf) = run_rx_faulted_full(cfg, wl, plan, seed, tracer, &mut NullProfiler);
-    (report, lf)
-}
-
-pub(crate) fn run_rx_faulted_full(
+/// [`run_rx`] behind a seeded link [`FaultPlan`] and with observers
+/// attached. Returns the report, each packet's completion time (`None`
+/// for packets that never completed) and what the link did.
+///
+/// The plan perturbs the arrival schedule first ([`apply_faults`]), and
+/// the link's own losses are folded into the report's [`CellLedger`] so
+/// the conservation invariant spans the whole path. An empty plan
+/// ([`FaultPlan::NONE`]) skips that pass: no copy of the workload, no
+/// random draws, and a report identical to [`run_rx`]'s.
+///
+/// `tracer` receives a structured [`TraceEvent`] at every pipeline stage
+/// boundary (cell arrival, FIFO admission/drop, per-cell engine spans,
+/// reassembly appends, validation, delivery DMA, completion).
+/// `profiler` is charged every simulated interval: engine busy time and
+/// stalls (`rx.engine`), delivery-DMA bus cycles (`rx.bus`), arriving
+/// cell slots (`rx.link`), and the input-FIFO and reassembly-pool
+/// occupancy gauges (`rx.fifo`, `rx.pool`). Pass [`NullTracer`] /
+/// [`NullProfiler`] to switch either off.
+pub fn run_rx_with(
     cfg: &RxConfig,
     wl: &RxWorkload,
     plan: &FaultPlan,
@@ -518,8 +470,17 @@ pub(crate) fn run_rx_faulted_full(
     tracer: &mut dyn Tracer,
     profiler: &mut dyn Profiler,
 ) -> (RxReport, Vec<Option<Time>>, LinkFaults) {
-    let (fwl, lf) = apply_faults(wl, plan, cfg.rate.cell_slot_time(), seed);
     let mut completions = Some(vec![None; wl.pkts.len()]);
+    if plan.is_none() {
+        plan.validate();
+        let lf = LinkFaults {
+            offered: wl.arrivals.len() as u64,
+            ..LinkFaults::default()
+        };
+        let report = run_rx_inner(cfg, wl, &mut completions, tracer, profiler);
+        return (report, completions.expect("completions requested"), lf);
+    }
+    let (fwl, lf) = apply_faults(wl, plan, cfg.rate.cell_slot_time(), seed);
     let mut report = run_rx_inner(cfg, &fwl, &mut completions, tracer, profiler);
     report.ledger.injected += lf.dropped;
     report.ledger.dropped_link = lf.dropped;
@@ -540,19 +501,6 @@ pub(crate) fn run_rx_faulted_full(
         .count();
     report.failed_packets += vanished as u64;
     (report, completions.expect("completions requested"), lf)
-}
-
-/// Both observability sinks at once — what the end-to-end composition
-/// runs so one pass can feed the tracer and the profiler.
-pub(crate) fn run_rx_full(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
-) -> (RxReport, Vec<Option<Time>>) {
-    let mut completions = Some(vec![None; wl.pkts.len()]);
-    let report = run_rx_inner(cfg, wl, &mut completions, tracer, profiler);
-    (report, completions.expect("trace requested"))
 }
 
 fn run_rx_inner(
@@ -1325,8 +1273,8 @@ mod tests {
         let plan = FaultPlan::iid(0.005, 1e-5)
             .with_duplication(0.01)
             .with_reorder(0.02, 4);
-        let (r1, lf1) = run_rx_faulted(&cfg, &wl, &plan, 42);
-        let (r2, lf2) = run_rx_faulted(&cfg, &wl, &plan, 42);
+        let (r1, _, lf1) = run_rx_with(&cfg, &wl, &plan, 42, &mut NullTracer, &mut NullProfiler);
+        let (r2, _, lf2) = run_rx_with(&cfg, &wl, &plan, 42, &mut NullTracer, &mut NullProfiler);
         assert_eq!(lf1, lf2);
         assert_eq!(r1.ledger, r2.ledger);
         assert!(lf1.dropped > 0, "0.5% loss over 9216 cells");
@@ -1348,7 +1296,8 @@ mod tests {
         let cfg = RxConfig::paper(LineRate::Oc12);
         let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 10, 9180, 0.9);
         let plain = run_rx(&cfg, &wl);
-        let (faulted, lf) = run_rx_faulted(&cfg, &wl, &FaultPlan::NONE, 7);
+        let none = &FaultPlan::NONE;
+        let (faulted, _, lf) = run_rx_with(&cfg, &wl, none, 7, &mut NullTracer, &mut NullProfiler);
         assert_eq!(lf.rng_draws, 0, "empty plan must not touch the RNG");
         assert_eq!(format!("{plain:?}"), format!("{faulted:?}"));
     }

@@ -195,50 +195,27 @@ pub fn run_tx(cfg: &TxConfig, packets: &[TxPacket]) -> TxReport {
     run_tx_inner(cfg, packets, &mut None, &mut NullTracer, &mut NullProfiler)
 }
 
-/// Like [`run_tx`], additionally returning every cell's departure time —
-/// the input the end-to-end composition ([`crate::e2esim`]) feeds to the
-/// receive pipeline.
-pub fn run_tx_traced(cfg: &TxConfig, packets: &[TxPacket]) -> (TxReport, Vec<CellDeparture>) {
-    let mut trace = Some(Vec::new());
-    let report = run_tx_inner(cfg, packets, &mut trace, &mut NullTracer, &mut NullProfiler);
-    (report, trace.expect("trace requested"))
-}
-
-/// Like [`run_tx_traced`], emitting a structured [`TraceEvent`] at every
-/// pipeline stage boundary (descriptor fetch, setup span, DMA bursts,
-/// segmentation spans, FIFO admission, framer hand-off) into `tracer`.
-pub fn run_tx_instrumented(
-    cfg: &TxConfig,
-    packets: &[TxPacket],
-    tracer: &mut dyn Tracer,
-) -> (TxReport, Vec<CellDeparture>) {
-    run_tx_full(cfg, packets, tracer, &mut NullProfiler)
-}
-
-/// Like [`run_tx_traced`], charging every simulated interval into the
-/// cycle-accounting `profiler`: engine busy time and its classified
-/// stalls (`tx.engine`), bus data and arbitration cycles (`tx.bus`),
-/// framer cell slots (`tx.link`), and the output-FIFO occupancy gauge
-/// (`tx.fifo`).
-pub fn run_tx_profiled(
-    cfg: &TxConfig,
-    packets: &[TxPacket],
-    profiler: &mut dyn Profiler,
-) -> (TxReport, Vec<CellDeparture>) {
-    run_tx_full(cfg, packets, &mut NullTracer, profiler)
-}
-
-/// Both observability sinks at once — what the end-to-end composition
-/// runs so one pass can feed the tracer and the profiler.
-pub(crate) fn run_tx_full(
+/// [`run_tx`] with observers attached, additionally returning every
+/// cell's departure time — the input the end-to-end composition
+/// ([`crate::e2esim`]) feeds to the receive pipeline.
+///
+/// `tracer` receives a structured [`TraceEvent`] at every pipeline stage
+/// boundary (descriptor fetch, setup span, DMA bursts, segmentation
+/// spans, FIFO admission, framer hand-off). `profiler` is charged every
+/// simulated interval: engine busy time and its classified stalls
+/// (`tx.engine`), bus data and arbitration cycles (`tx.bus`), framer
+/// cell slots (`tx.link`), and the output-FIFO occupancy gauge
+/// (`tx.fifo`). Pass [`NullTracer`] / [`NullProfiler`] to switch either
+/// off; neither perturbs the simulation.
+pub fn run_tx_with(
     cfg: &TxConfig,
     packets: &[TxPacket],
     tracer: &mut dyn Tracer,
     profiler: &mut dyn Profiler,
 ) -> (TxReport, Vec<CellDeparture>) {
-    let mut trace = Some(Vec::new());
-    let report = run_tx_inner(cfg, packets, &mut trace, tracer, profiler);
-    (report, trace.expect("trace requested"))
+    let mut departures = Some(Vec::new());
+    let report = run_tx_inner(cfg, packets, &mut departures, tracer, profiler);
+    (report, departures.expect("departures requested"))
 }
 
 fn run_tx_inner(

@@ -16,10 +16,10 @@
 //! * [`RtoEstimator`] — adaptive retransmission timeout: Jacobson
 //!   SRTT/RTTVAR, Karn's rule (retransmitted frames never produce RTT
 //!   samples), capped exponential backoff;
-//! * [`run_transport`] and friends — the closed-loop simulator itself,
-//!   driven off the cell-slot clock of a [`hni_sonet::LineRate`], with
+//! * [`run_transport`] — the closed-loop simulator itself, driven off
+//!   the cell-slot clock of a [`hni_sonet::LineRate`], with
 //!   deterministic fault injection and propagation-delay models from
-//!   `hni-faults` on both the forward and reverse paths.
+//!   `hni_sim::faults` on both the forward and reverse paths.
 //!
 //! Determinism is load-bearing: the whole closed loop — fault fates,
 //! jitter, timer interleavings — reproduces byte-identically from one
@@ -30,7 +30,5 @@ pub mod sim;
 pub mod window;
 
 pub use rto::{RtoConfig, RtoEstimator};
-pub use sim::{
-    run_transport, run_transport_full, run_transport_instrumented, TransportConfig, TransportReport,
-};
+pub use sim::{run_transport, TransportConfig, TransportReport};
 pub use window::SendWindow;

@@ -7,8 +7,9 @@
 //! [`hni_core::BufferPool`] under the configured
 //! [`DiscardPolicy`] (drop-tail / EPD / PPD),
 //! every cell reconciles into exactly one [`CellLedger`] fate, and the
-//! same telemetry spans and profiler charges fire for a retransmitted
-//! cell as for a first transmission. What is *new* relative to
+//! always-on telemetry (frame-latency histogram, tail reservoir, per-VC
+//! cell counts) records a retransmitted cell exactly as a first
+//! transmission. What is *new* relative to
 //! `rxsim`'s open loop is the feedback path: completed frames generate
 //! ack cells on a reverse VC (cumulative + 64-bit selective-ack
 //! bitmap), and the sender runs a sliding window per VC with an
@@ -40,13 +41,9 @@ use hni_aal::AalType;
 use hni_core::bufpool::{BufferPool, ChainKey, PoolConfig, PoolError};
 use hni_core::rxsim::CellLedger;
 use hni_core::DiscardPolicy;
-use hni_faults::{DelayLine, DelayModel, FaultInjector, FaultPlan};
-use hni_sim::{Duration, EventQueue, Time};
+use hni_sim::{DelayLine, DelayModel, Duration, EventQueue, FaultInjector, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{
-    Activity, Component, HdrHist, NullProfiler, NullTracer, Profiler, Stage, TailReservoir,
-    TraceEvent, Tracer, VcMetrics,
-};
+use hni_telemetry::{HdrHist, TailReservoir, VcMetrics};
 
 use crate::rto::{RtoConfig, RtoEstimator};
 use crate::window::SendWindow;
@@ -273,7 +270,6 @@ enum Ev {
     /// A data cell reaches the receive interface.
     Data {
         attempt: u32,
-        cell: u32,
         is_last: bool,
         corrupted: bool,
     },
@@ -330,31 +326,10 @@ struct Sim {
     vc_cells: VcMetrics,
 }
 
-/// Run the closed loop with telemetry and profiling off.
+/// Run the closed loop.
 pub fn run_transport(cfg: &TransportConfig) -> TransportReport {
-    run_transport_full(cfg, &mut NullTracer, &mut NullProfiler)
-}
-
-/// Run the closed loop with a tracer attached (profiling off).
-pub fn run_transport_instrumented<T: Tracer>(
-    cfg: &TransportConfig,
-    tracer: &mut T,
-) -> TransportReport {
-    run_transport_full(cfg, tracer, &mut NullProfiler)
-}
-
-/// Run the closed loop with both a tracer and a profiler attached. The
-/// receive side charges the same components (`RxLink`, `RxPool`) and
-/// emits the same stages a first transmission would in `rxsim` — a
-/// retransmitted cell is indistinguishable on the telemetry plane.
-pub fn run_transport_full<T: Tracer, P: Profiler>(
-    cfg: &TransportConfig,
-    tracer: &mut T,
-    profiler: &mut P,
-) -> TransportReport {
     cfg.validate();
-    let mut sim = Sim::new(cfg);
-    sim.run(tracer, profiler)
+    Sim::new(cfg).run()
 }
 
 impl Sim {
@@ -414,7 +389,7 @@ impl Sim {
         }
     }
 
-    fn run<T: Tracer, P: Profiler>(&mut self, tracer: &mut T, profiler: &mut P) -> TransportReport {
+    fn run(&mut self) -> TransportReport {
         self.q.schedule(Time::ZERO, Ev::TxSlot);
         self.tx_scheduled = true;
         if self.cfg.start_stagger > Duration::ZERO {
@@ -446,12 +421,11 @@ impl Sim {
                 }
                 Ev::Data {
                     attempt,
-                    cell,
                     is_last,
                     corrupted,
                 } => {
                     self.last_event = now;
-                    self.on_data(now, attempt, cell, is_last, corrupted, tracer, profiler)
+                    self.on_data(now, attempt, is_last, corrupted)
                 }
                 Ev::Ack { vc, cum, sack } => {
                     self.last_event = now;
@@ -467,7 +441,7 @@ impl Sim {
                 }
                 Ev::Expire => {
                     self.last_event = now;
-                    self.on_expire(now, tracer, profiler)
+                    self.on_expire(now)
                 }
                 Ev::Kick => {
                     self.last_event = now;
@@ -651,7 +625,6 @@ impl Sim {
             });
         }
         let cur = f.cur.as_mut().expect("attempt just started");
-        let cell = cur.next_cell;
         cur.next_cell += 1;
         let is_last = cur.next_cell == cells;
         let attempt = cur.attempt;
@@ -682,7 +655,6 @@ impl Sim {
                 arrive,
                 Ev::Data {
                     attempt,
-                    cell,
                     is_last,
                     corrupted,
                 },
@@ -699,7 +671,6 @@ impl Sim {
                     arrive + self.slot,
                     Ev::Data {
                         attempt,
-                        cell,
                         is_last: false,
                         corrupted,
                     },
@@ -850,47 +821,15 @@ impl Sim {
 
     // ---- receiver side --------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_data<T: Tracer, P: Profiler>(
-        &mut self,
-        now: Time,
-        attempt: u32,
-        cell: u32,
-        is_last: bool,
-        corrupted: bool,
-        tracer: &mut T,
-        profiler: &mut P,
-    ) {
+    fn on_data(&mut self, now: Time, attempt: u32, is_last: bool, corrupted: bool) {
         let ai = attempt as usize;
         let conn = self.attempts[ai].vc;
-        let gidx = self.frame_id(ai);
         // Always-on per-VC accounting at the wire, as in `rxsim`.
         self.vc_cells.record_cell(conn, 53);
-        if profiler.enabled() {
-            let from = Time::from_ps(now.as_ps().saturating_sub(self.slot.as_ps()));
-            profiler.charge(Component::RxLink, Activity::Transfer, from, self.slot);
-        }
-        if tracer.enabled() {
-            tracer.record(
-                TraceEvent::instant(now, Stage::RxCellArrive)
-                    .vc(conn)
-                    .pkt(gidx)
-                    .cell(cell as u64),
-            );
-        }
         if self.attempts[ai].resolved {
             // Straggler for an attempt already resolved (late reordered
             // copy, duplicate, or a tail behind an expired chain).
             self.ledger.discarded_stale += 1;
-            if tracer.enabled() {
-                tracer.record(
-                    TraceEvent::instant(now, Stage::RxStaleDiscard)
-                        .vc(conn)
-                        .pkt(gidx)
-                        .cell(cell as u64)
-                        .arg(1),
-                );
-            }
             return;
         }
         let starts_frame = {
@@ -911,35 +850,23 @@ impl Sim {
         }
         match self.pool.admit(attempt as ChainKey, starts_frame) {
             Err(why @ (PoolError::EarlyDiscard | PoolError::PartialDiscard)) => {
-                let stage = if why == PoolError::EarlyDiscard {
+                if why == PoolError::EarlyDiscard {
                     self.ledger.discarded_epd += 1;
-                    Stage::RxEpdDiscard
                 } else {
                     self.ledger.discarded_ppd += 1;
-                    Stage::RxPpdDiscard
-                };
-                self.attempts[ai].doomed = true;
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(now, stage)
-                            .vc(conn)
-                            .pkt(gidx)
-                            .cell(cell as u64)
-                            .arg(1),
-                    );
                 }
+                self.attempts[ai].doomed = true;
                 if is_last {
                     // The frame's end came and went unseen: it can
                     // never validate. No ack — the sender's timer or
                     // later dup acks recover it.
-                    self.resolve_failed(now, ai, profiler);
+                    self.resolve_failed(now, ai);
                 }
             }
             // `admit` never reports Exhausted; drop-tail pressure shows
             // up at append time instead.
             Ok(()) | Err(PoolError::Exhausted) => {
                 let result = self.pool.append_cell(now, attempt as ChainKey);
-                let mut ppd_charge = 0u64;
                 match result {
                     Ok(()) => self.attempts[ai].retained += 1,
                     Err(PoolError::Exhausted) => {
@@ -950,8 +877,7 @@ impl Sim {
                         // On the triggering cell PPD reclaims the whole
                         // stored chain; the follow-ups cost one each.
                         let at = &mut self.attempts[ai];
-                        ppd_charge = at.retained as u64 + 1;
-                        self.ledger.discarded_ppd += ppd_charge;
+                        self.ledger.discarded_ppd += at.retained as u64 + 1;
                         at.retained = 0;
                         at.doomed = true;
                     }
@@ -960,26 +886,12 @@ impl Sim {
                         self.attempts[ai].doomed = true;
                     }
                 }
-                if profiler.enabled() {
-                    profiler.gauge(Component::RxPool, now, self.pool.in_use() as u64);
-                }
-                if tracer.enabled() {
-                    let (stage, arg) = match result {
-                        Ok(()) => (Stage::RxReasmAppend, self.attempts[ai].seen as u64),
-                        Err(PoolError::Exhausted) => {
-                            (Stage::RxPoolDrop, self.attempts[ai].seen as u64)
-                        }
-                        Err(PoolError::PartialDiscard) => (Stage::RxPpdDiscard, ppd_charge),
-                        Err(PoolError::EarlyDiscard) => (Stage::RxEpdDiscard, 1),
-                    };
-                    tracer.record(TraceEvent::instant(now, stage).vc(conn).pkt(gidx).arg(arg));
-                }
                 if is_last {
                     if self.attempts[ai].doomed {
                         // Abandon: free whatever was chained.
                         self.ledger.discarded_abandoned += self.attempts[ai].retained as u64;
                         self.attempts[ai].retained = 0;
-                        self.resolve_failed(now, ai, profiler);
+                        self.resolve_failed(now, ai);
                     } else if self.attempts[ai].corrupt
                         || self.attempts[ai].seen != self.attempts[ai].cells
                     {
@@ -988,17 +900,9 @@ impl Sim {
                         let retained = self.attempts[ai].retained as u64;
                         self.ledger.discarded_crc += retained;
                         self.attempts[ai].retained = 0;
-                        if tracer.enabled() {
-                            tracer.record(
-                                TraceEvent::instant(now, Stage::RxValidateFail)
-                                    .vc(conn)
-                                    .pkt(gidx)
-                                    .arg(retained),
-                            );
-                        }
-                        self.resolve_failed(now, ai, profiler);
+                        self.resolve_failed(now, ai);
                     } else {
-                        self.complete_attempt(now, ai, tracer, profiler);
+                        self.complete_attempt(now, ai);
                     }
                 }
             }
@@ -1007,41 +911,21 @@ impl Sim {
 
     /// Fail an attempt: release whatever it holds and mark it resolved.
     /// Callers must have moved `retained` into a ledger bucket first.
-    fn resolve_failed<P: Profiler>(&mut self, now: Time, ai: usize, profiler: &mut P) {
-        let freed = self.pool.release_chain(now, ai as ChainKey);
-        if freed > 0 && profiler.enabled() {
-            profiler.gauge(Component::RxPool, now, self.pool.in_use() as u64);
-        }
+    fn resolve_failed(&mut self, now: Time, ai: usize) {
+        self.pool.release_chain(now, ai as ChainKey);
         self.attempts[ai].resolved = true;
         self.attempts[ai].doomed = true;
     }
 
     /// An attempt reassembled and validated intact: deliver (or discard
     /// as superseded), then ack.
-    fn complete_attempt<T: Tracer, P: Profiler>(
-        &mut self,
-        now: Time,
-        ai: usize,
-        tracer: &mut T,
-        profiler: &mut P,
-    ) {
+    fn complete_attempt(&mut self, now: Time, ai: usize) {
         let conn = self.attempts[ai].vc;
         let gidx = self.frame_id(ai);
         self.pool.release_chain(now, ai as ChainKey);
-        if profiler.enabled() {
-            profiler.gauge(Component::RxPool, now, self.pool.in_use() as u64);
-        }
         let retained = self.attempts[ai].retained as u64;
         self.attempts[ai].retained = 0;
         self.attempts[ai].resolved = true;
-        if tracer.enabled() {
-            tracer.record(
-                TraceEvent::instant(now, Stage::RxReasmComplete)
-                    .vc(conn)
-                    .pkt(gidx)
-                    .arg(self.attempts[ai].cells as u64),
-            );
-        }
         let vc = self.attempts[ai].vc as usize;
         let seq = self.attempts[ai].seq as usize;
         let f = &mut self.flows[vc];
@@ -1062,14 +946,6 @@ impl Sim {
             let lat = now.saturating_since(f.frames[seq].first_sent);
             self.frame_latency.record_duration(lat);
             self.tail.record(conn, gidx as u32, lat, now);
-            if tracer.enabled() {
-                tracer.record(
-                    TraceEvent::instant(now, Stage::CompletionPush)
-                        .vc(conn)
-                        .pkt(gidx)
-                        .arg(self.cfg.frame_len as u64),
-                );
-            }
         }
         self.send_ack(now, vc);
     }
@@ -1120,7 +996,7 @@ impl Sim {
         }
     }
 
-    fn on_expire<T: Tracer, P: Profiler>(&mut self, now: Time, tracer: &mut T, profiler: &mut P) {
+    fn on_expire(&mut self, now: Time) {
         let timeout = self.cfg.reassembly_timeout;
         let mut any_open = false;
         for ai in self.expire_floor..self.attempts.len() {
@@ -1131,15 +1007,7 @@ impl Sim {
                 let retained = self.attempts[ai].retained as u64;
                 self.ledger.discarded_expired += retained;
                 self.attempts[ai].retained = 0;
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(now, Stage::RxReasmExpire)
-                            .vc(self.attempts[ai].vc)
-                            .pkt(self.frame_id(ai))
-                            .arg(retained),
-                    );
-                }
-                self.resolve_failed(now, ai, profiler);
+                self.resolve_failed(now, ai);
             } else {
                 any_open = true;
             }
@@ -1167,7 +1035,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hni_faults::scenarios;
+    use hni_sim::faults::scenarios;
 
     fn small(rate: LineRate) -> TransportConfig {
         let mut cfg = TransportConfig::paper(rate);

@@ -11,7 +11,7 @@
 
 use hni_atm::VcId;
 use hni_core::{Nic, NicConfig, NicEvent};
-use hni_faults::scenarios;
+use hni_sim::faults::scenarios;
 use hni_sim::{link::apply_bit_errors, FaultPlan, Link, LinkDelivery, Rng, Time};
 use hni_sonet::LineRate;
 

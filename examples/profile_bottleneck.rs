@@ -15,9 +15,9 @@
 //! 3. the Prometheus text exposition (`report prom r-f1`).
 
 use hni_atm::VcId;
-use hni_core::txsim::{greedy_workload, run_tx_profiled, TxConfig};
+use hni_core::txsim::{greedy_workload, run_tx_with, TxConfig};
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute, expfmt, CycleProfiler};
+use hni_telemetry::{attribute, expfmt, CycleProfiler, NullTracer};
 
 fn main() {
     let len: usize = std::env::args()
@@ -27,7 +27,8 @@ fn main() {
 
     let cfg = TxConfig::paper(LineRate::Oc12);
     let mut prof = CycleProfiler::new();
-    let (report, _) = run_tx_profiled(&cfg, &greedy_workload(20, len, VcId::new(0, 32)), &mut prof);
+    let wl = greedy_workload(20, len, VcId::new(0, 32));
+    let (report, _) = run_tx_with(&cfg, &wl, &mut NullTracer, &mut prof);
     let profile = prof.snapshot(report.finished_at);
 
     println!(

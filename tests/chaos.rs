@@ -10,13 +10,13 @@
 //! printed on failure, so any counterexample is a one-line repro.
 
 use hni_core::e2esim::run_e2e_faulted;
-use hni_core::rxsim::{run_rx_faulted_instrumented, RxConfig, RxWorkload};
+use hni_core::rxsim::{run_rx_with, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, TxConfig};
 use hni_core::DiscardPolicy;
-use hni_faults::chaos;
+use hni_sim::faults::chaos;
 use hni_sim::Duration;
 use hni_sonet::LineRate;
-use hni_telemetry::{Metric, MetricsRegistry, VecTracer};
+use hni_telemetry::{Metric, MetricsRegistry, NullProfiler, VecTracer};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("HNI_CHAOS_SEEDS") {
@@ -62,7 +62,7 @@ fn chaotic_rx_runs_reconcile_ledger_and_registry() {
         let cfg = rx_cfg_for(seed);
         let plan = chaos::random_plan(seed);
         let mut tracer = VecTracer::new();
-        let (report, lf) = run_rx_faulted_instrumented(&cfg, &wl, &plan, seed, &mut tracer);
+        let (report, _, lf) = run_rx_with(&cfg, &wl, &plan, seed, &mut tracer, &mut NullProfiler);
         let l = report.ledger;
         assert!(
             l.reconciles(),
@@ -145,7 +145,8 @@ fn chaotic_e2e_runs_never_panic_and_conserve_packets() {
 /// `discarded_superseded` the fate of redundant deliveries.
 #[test]
 fn chaotic_transport_runs_conserve_cells_with_retransmission() {
-    use hni_faults::{scenarios, DelayModel};
+    use hni_sim::faults::scenarios;
+    use hni_sim::DelayModel;
     use hni_transport::{run_transport, TransportConfig};
     for seed in seeds() {
         let mut cfg = TransportConfig::paper(LineRate::Oc12);
@@ -217,8 +218,8 @@ fn chaos_is_reproducible_per_seed() {
         let plan = chaos::random_plan(seed);
         let mut t1 = VecTracer::new();
         let mut t2 = VecTracer::new();
-        let (a, la) = run_rx_faulted_instrumented(&cfg, &wl, &plan, seed, &mut t1);
-        let (b, lb) = run_rx_faulted_instrumented(&cfg, &wl, &plan, seed, &mut t2);
+        let (a, _, la) = run_rx_with(&cfg, &wl, &plan, seed, &mut t1, &mut NullProfiler);
+        let (b, _, lb) = run_rx_with(&cfg, &wl, &plan, seed, &mut t2, &mut NullProfiler);
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed}");
         assert_eq!(la, lb, "seed {seed}");
         assert_eq!(t1.events(), t2.events(), "seed {seed}: traces diverged");

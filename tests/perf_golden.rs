@@ -10,10 +10,9 @@
 //!    zero heap allocations and zero slab growth after warm-up,
 //!    proven by a counting global allocator.
 //!
-//! The allocation counter is thread-filtered (a `const`-initialised
-//! thread-local flag, which itself never allocates) so the other tests
-//! in this binary — which allocate freely on their own harness threads —
-//! cannot pollute the zero-alloc window.
+//! The allocation counter is per thread (`tests/common/count_alloc.rs`)
+//! so the other tests in this binary — which allocate freely on their
+//! own harness threads — cannot pollute the zero-alloc window.
 
 use hni_aal::aal34::Aal34Segmenter;
 use hni_aal::aal5::{self, Aal5Reassembler};
@@ -21,49 +20,10 @@ use hni_atm::{CellSlab, VcId};
 use hni_bench::experiments::{rf1_tx_throughput, rt3_memory, rt4_pacing};
 use hni_bench::par_sweep_with_jobs;
 use hni_sim::{Duration, FaultPlan, Link, LinkDelivery, Rng, Time};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell as StdCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static TRACKING: StdCell<bool> = const { StdCell::new(false) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.with(|t| t.get()) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACKING.with(|t| t.get()) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// Heap allocations performed *by this thread* while `f` runs.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    TRACKING.with(|t| t.set(true));
-    f();
-    TRACKING.with(|t| t.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+use hni_telemetry::{NullProfiler, NullTracer};
+#[path = "common/count_alloc.rs"]
+mod count_alloc;
+use count_alloc::allocs_during;
 
 #[test]
 fn slab_fast_path_byte_identical_to_vec_path() {
@@ -160,7 +120,7 @@ fn telemetry_plane_zero_alloc_in_steady_state() {
     // 64 buckets are inline arrays).
     let mut h = HdrHist::new();
     let mut h2 = HdrHist::new();
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for i in 0..10_000u64 {
             h.record(i * 37 + 1);
             h2.record(i * 91 + 5);
@@ -175,14 +135,14 @@ fn telemetry_plane_zero_alloc_in_steady_state() {
     // offers — hits, misses, and space-saving evictions alike — are
     // in-place.
     let mut m = VcMetrics::default();
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for i in 0..10_000u64 {
             m.record_cell((i % 4096) as u32, 53);
         }
     });
     assert_eq!(n, 0, "VcMetrics allocated {n} times in steady state");
     let mut k = TopK::new(8);
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for i in 0..10_000u64 {
             k.offer((i % 100) as u32, 1);
         }
@@ -192,7 +152,7 @@ fn telemetry_plane_zero_alloc_in_steady_state() {
     // Sampling decisions are pure hashing; a kept event through the
     // NullTracer sink costs nothing either.
     let mut s = SamplingTracer::new(NullTracer, 1024, 42);
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for i in 0..10_000u32 {
             std::hint::black_box(s.keeps(i % 7, i / 13, i));
             s.record(TraceEvent::instant(Time::ZERO, Stage::TxSetup).pkt(i as usize));
@@ -208,7 +168,7 @@ fn always_on_metrics_do_not_perturb_the_simulation() {
     // counters rode along. Two identical runs agree trivially — the
     // real check is that the metrics-carrying report still satisfies
     // the cross-invariants the seed established.
-    let r = rf1_tx_throughput::canonical_run();
+    let r = rf1_tx_throughput::canonical(&mut NullTracer, &mut NullProfiler);
     assert_eq!(
         r.latency_hist.count() as usize,
         20,
@@ -229,7 +189,7 @@ fn always_on_metrics_do_not_perturb_the_simulation() {
     );
     // And the histogram itself is recorded outside the event loop's
     // timing: re-running produces float-identical goodput.
-    let again = rf1_tx_throughput::canonical_run();
+    let again = rf1_tx_throughput::canonical(&mut NullTracer, &mut NullProfiler);
     assert_eq!(r.goodput_bps.to_bits(), again.goodput_bps.to_bits());
     assert_eq!(r.cells_sent, again.cells_sent);
 }
@@ -292,7 +252,7 @@ fn steady_state_e2e_zero_allocations_zero_slab_growth() {
 
     // Steady state: many rounds, zero allocations on this thread, zero
     // slab growth.
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for _ in 0..50 {
             let d = round(
                 &mut slab,

@@ -11,44 +11,34 @@
 //!    deterministically.
 
 use hni_atm::VcId;
-use hni_core::e2esim::{run_e2e, run_e2e_profiled};
-use hni_core::rxsim::{run_rx, run_rx_profiled, run_rx_traced, RxConfig, RxWorkload};
-use hni_core::txsim::{greedy_workload, run_tx, run_tx_profiled, run_tx_traced, TxConfig};
-use hni_sim::Duration;
+use hni_core::e2esim::{run_e2e, run_e2e_with};
+use hni_core::rxsim::{run_rx, run_rx_with, RxConfig, RxReport, RxWorkload};
+use hni_core::txsim::{
+    greedy_workload, run_tx, run_tx_with, CellDeparture, TxConfig, TxPacket, TxReport,
+};
+use hni_sim::{Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{Activity, Component, CycleProfiler, NullProfiler};
+use hni_telemetry::{Activity, Component, CycleProfiler, NullProfiler, NullTracer, Profiler};
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "common/count_alloc.rs"]
+mod count_alloc;
+use count_alloc::allocs_during;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
+fn tx_with(
+    cfg: &TxConfig,
+    wl: &[TxPacket],
+    profiler: &mut dyn Profiler,
+) -> (TxReport, Vec<CellDeparture>) {
+    run_tx_with(cfg, wl, &mut NullTracer, profiler)
 }
 
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    let n = ALLOCS.load(Ordering::Relaxed) - before;
-    (out, n)
+fn rx_with(
+    cfg: &RxConfig,
+    wl: &RxWorkload,
+    profiler: &mut dyn Profiler,
+) -> (RxReport, Vec<Option<Time>>) {
+    let (r, done, _) = run_rx_with(cfg, wl, &FaultPlan::NONE, 0, &mut NullTracer, profiler);
+    (r, done)
 }
 
 fn tx_cfg() -> TxConfig {
@@ -66,9 +56,9 @@ fn profiled_tx_run_is_byte_identical() {
     let cfg = tx_cfg();
     let wl = greedy_workload(12, 9180, VcId::new(0, 32));
     let plain = run_tx(&cfg, &wl);
-    let (dep_plain_report, dep_plain) = run_tx_traced(&cfg, &wl);
+    let (dep_plain_report, dep_plain) = tx_with(&cfg, &wl, &mut NullProfiler);
     let mut prof = CycleProfiler::new();
-    let (profiled, dep_prof) = run_tx_profiled(&cfg, &wl, &mut prof);
+    let (profiled, dep_prof) = tx_with(&cfg, &wl, &mut prof);
     assert_eq!(format!("{plain:?}"), format!("{profiled:?}"));
     assert_eq!(format!("{dep_plain_report:?}"), format!("{profiled:?}"));
     assert_eq!(format!("{dep_plain:?}"), format!("{dep_prof:?}"));
@@ -78,9 +68,9 @@ fn profiled_tx_run_is_byte_identical() {
 fn profiled_rx_run_is_byte_identical() {
     let (cfg, wl) = rx_parts();
     let plain = run_rx(&cfg, &wl);
-    let (traced_report, done_plain) = run_rx_traced(&cfg, &wl);
+    let (traced_report, done_plain) = rx_with(&cfg, &wl, &mut NullProfiler);
     let mut prof = CycleProfiler::new();
-    let (profiled, done_prof) = run_rx_profiled(&cfg, &wl, &mut prof);
+    let (profiled, done_prof) = rx_with(&cfg, &wl, &mut prof);
     assert_eq!(format!("{plain:?}"), format!("{profiled:?}"));
     assert_eq!(format!("{traced_report:?}"), format!("{profiled:?}"));
     assert_eq!(done_plain, done_prof);
@@ -94,7 +84,8 @@ fn profiled_e2e_run_is_byte_identical() {
     let prop = Duration::from_us(5);
     let plain = run_e2e(&txc, &rxc, &wl, prop);
     let mut prof = CycleProfiler::new();
-    let profiled = run_e2e_profiled(&txc, &rxc, &wl, prop, &mut prof);
+    let none = &FaultPlan::NONE;
+    let (profiled, _) = run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut NullTracer, &mut prof);
     assert_eq!(format!("{plain:?}"), format!("{profiled:?}"));
 }
 
@@ -102,31 +93,47 @@ fn profiled_e2e_run_is_byte_identical() {
 fn disabled_profiler_adds_zero_allocations() {
     let cfg = tx_cfg();
     let wl = greedy_workload(12, 9180, VcId::new(0, 32));
-    // Warm up once (lazy statics, first-touch growth). Baseline against
-    // run_tx_traced, which collects the same departures vector the
-    // profiled entry returns — identical work minus the profiler.
-    let _ = run_tx_traced(&cfg, &wl);
-    let (_, base) = allocs_during(|| run_tx_traced(&cfg, &wl));
-    // The NullProfiler path must allocate *exactly* what the plain run
-    // does — the gate compiles to a constant-false branch.
-    let (_, gated) = allocs_during(|| {
-        let mut off = NullProfiler;
-        run_tx_profiled(&cfg, &wl, &mut off)
-    });
+    // Warm up once (lazy statics, first-touch growth). Baseline: the
+    // plain run plus a departures vector grown cell by cell, exactly as
+    // the `_with` entry collects it — identical work minus the hooks.
+    let plain_plus_departures = || {
+        let r = run_tx(&cfg, &wl);
+        let mut deps = Vec::new();
+        for _ in 0..r.cells_sent {
+            deps.push(CellDeparture {
+                at: Time::ZERO,
+                pkt: 0,
+                is_last: false,
+            });
+        }
+        deps
+    };
+    let _ = (
+        plain_plus_departures(),
+        tx_with(&cfg, &wl, &mut NullProfiler),
+    );
+    let (deps, base) = allocs_during(plain_plus_departures);
+    // Null observers must allocate *exactly* what the plain run does —
+    // every gate compiles to a constant-false branch.
+    let ((_, departures), gated) = allocs_during(|| tx_with(&cfg, &wl, &mut NullProfiler));
+    assert_eq!(departures.len(), deps.len());
     assert_eq!(base, gated, "NullProfiler run allocated {gated} vs {base}");
     // And the run itself is allocation-deterministic (the comparison
     // above is meaningful).
-    let (_, again) = allocs_during(|| run_tx_traced(&cfg, &wl));
+    let (_, again) = allocs_during(plain_plus_departures);
     assert_eq!(base, again);
 
+    // Receive: the `_with` entry's only extra allocation is the
+    // completion vector it returns.
     let (rcfg, rwl) = rx_parts();
-    let _ = run_rx_traced(&rcfg, &rwl);
-    let (_, rbase) = allocs_during(|| run_rx_traced(&rcfg, &rwl));
-    let (_, rgated) = allocs_during(|| {
-        let mut off = NullProfiler;
-        run_rx_profiled(&rcfg, &rwl, &mut off)
-    });
-    assert_eq!(rbase, rgated);
+    let _ = (run_rx(&rcfg, &rwl), rx_with(&rcfg, &rwl, &mut NullProfiler));
+    let (_, rbase) = allocs_during(|| run_rx(&rcfg, &rwl));
+    let (_, rgated) = allocs_during(|| rx_with(&rcfg, &rwl, &mut NullProfiler));
+    assert_eq!(
+        rbase + 1,
+        rgated,
+        "NullProfiler rx run allocated {rgated} vs {rbase} + 1"
+    );
 }
 
 #[test]
@@ -134,7 +141,7 @@ fn tx_profile_reconciles_with_report_counters() {
     let cfg = tx_cfg();
     let wl = greedy_workload(12, 9180, VcId::new(0, 32));
     let mut prof = CycleProfiler::new();
-    let (r, _) = run_tx_profiled(&cfg, &wl, &mut prof);
+    let (r, _) = tx_with(&cfg, &wl, &mut prof);
     let p = prof.snapshot(r.finished_at);
     // Engine busy: the profiler charged exactly the report's counter.
     assert_eq!(p.total(Component::TxEngine, Activity::Busy), r.engine_busy);
@@ -156,7 +163,7 @@ fn tx_profile_reconciles_with_report_counters() {
 fn rx_profile_reconciles_with_report_counters() {
     let (cfg, wl) = rx_parts();
     let mut prof = CycleProfiler::new();
-    let (r, _) = run_rx_profiled(&cfg, &wl, &mut prof);
+    let (r, _) = rx_with(&cfg, &wl, &mut prof);
     let p = prof.snapshot(r.run_end);
     // Link transfer: one slot per offered cell.
     assert_eq!(
@@ -175,7 +182,7 @@ fn folded_stacks_render_deterministically() {
         let cfg = tx_cfg();
         let wl = greedy_workload(8, 9180, VcId::new(0, 32));
         let mut prof = CycleProfiler::new();
-        let (r, _) = run_tx_profiled(&cfg, &wl, &mut prof);
+        let (r, _) = tx_with(&cfg, &wl, &mut prof);
         prof.snapshot(r.finished_at).folded_stacks()
     };
     let a = render();

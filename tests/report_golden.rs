@@ -4,11 +4,11 @@
 //! rendering regressions (a renamed column, a dropped row) that unit
 //! tests of the underlying numbers would not catch.
 
-use hni_bench::{run_experiment, EXPERIMENT_IDS};
+use hni_bench::{list_report, run_experiment, EXPERIMENTS};
 
 #[test]
 fn all_experiments_render_with_headers_and_tables() {
-    for id in EXPERIMENT_IDS {
+    for id in EXPERIMENTS.iter().map(|e| e.id) {
         let out = run_experiment(id).unwrap_or_else(|| panic!("{id} missing"));
         assert!(
             out.starts_with(&id.to_uppercase()),
@@ -64,9 +64,10 @@ fn ra2_quotes_the_mips_minimums() {
 
 #[test]
 fn experiment_list_is_complete_and_ordered() {
-    assert_eq!(EXPERIMENT_IDS.len(), 20);
-    assert!(EXPERIMENT_IDS.starts_with(&["r-t1", "r-t2"]));
-    assert!(EXPERIMENT_IDS.ends_with(&["r-w1", "r-s1"]));
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    assert_eq!(ids.len(), 20);
+    assert!(ids.starts_with(&["r-t1", "r-t2"]));
+    assert!(ids.ends_with(&["r-w1", "r-s1"]));
 }
 
 #[test]
@@ -127,4 +128,125 @@ fn ro1_quotes_the_saturation_order() {
         "saturation-order statement missing"
     );
     assert!(out.contains("engine") && out.contains("link") && out.contains("bus"));
+}
+
+/// `report list` exactly as it renders: every id in report order, with
+/// the views its canonical run supports.
+const LIST: &str = "\
+r-t1
+r-t2
+r-t3
+r-t4
+r-t5
+r-f1  [trace metrics profile bottleneck prom hist topvc]
+r-f2  [trace metrics profile bottleneck prom hist topvc]
+r-f3  [trace metrics profile bottleneck prom hist topvc tail exemplars]
+r-f4
+r-f5
+r-f6
+r-f7
+r-f8
+r-a1
+r-a2
+r-o1
+r-o2
+r-r1
+r-w1  [hist]
+r-s1
+";
+
+/// Run the `report` binary; return (exit code, stdout, stderr).
+fn report(args: &[&str]) -> (i32, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(args)
+        .output()
+        .expect("report binary runs");
+    (
+        out.status.code().expect("exited normally"),
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        String::from_utf8(out.stderr).expect("utf-8 stderr"),
+    )
+}
+
+#[test]
+fn report_list_text_is_pinned() {
+    assert_eq!(list_report(), LIST);
+    assert_eq!(report(&["list"]), (0, LIST.to_string(), String::new()));
+}
+
+#[test]
+fn capability_views_exit_2_naming_their_supported_ids() {
+    const F123: &str = r#"["r-f1", "r-f2", "r-f3"]"#;
+    const HIST: &str = r#"["r-f1", "r-f2", "r-f3", "r-w1"]"#;
+    const TAIL: &str = r#"["r-f3"]"#;
+    for (view, ids) in [
+        ("trace", F123),
+        ("metrics", F123),
+        ("profile", F123),
+        ("bottleneck", F123),
+        ("prom", F123),
+        ("hist", HIST),
+        ("topvc", F123),
+        ("tail", TAIL),
+        ("exemplars", TAIL),
+    ] {
+        assert_eq!(
+            report(&[view]),
+            (
+                2,
+                String::new(),
+                format!("usage: report {view} <id>; supported ids: {ids}\n")
+            ),
+            "{view} without an id"
+        );
+        assert_eq!(
+            report(&[view, "r-t1"]),
+            (
+                2,
+                String::new(),
+                format!("experiment 'r-t1' does not support '{view}'; supported ids: {ids}\n")
+            ),
+            "{view} on an unsupported id"
+        );
+    }
+    assert_eq!(
+        report(&["--trace", "r-t1"]).2,
+        format!("experiment 'r-t1' does not support 'trace'; supported ids: {F123}\n")
+    );
+    assert_eq!(
+        report(&["promlint"]),
+        (
+            2,
+            String::new(),
+            format!("usage: report promlint <id>; supported ids: {F123}\n")
+        )
+    );
+    assert_eq!(
+        report(&["promlint", "r-t1"]),
+        (
+            2,
+            String::new(),
+            format!("experiment 'r-t1' exposes no Prometheus text; supported ids: {F123}\n")
+        )
+    );
+    assert_eq!(
+        report(&["diff", "r-f1"]),
+        (
+            2,
+            String::new(),
+            format!("usage: report diff <a> <b>; ids with histograms: {HIST}\n")
+        )
+    );
+    assert_eq!(
+        report(&["diff", "r-t1", "r-f1"]).2,
+        "report diff: r-t1: no always-on histogram support\n"
+    );
+    assert_eq!(
+        report(&["r-f99"]),
+        (
+            2,
+            String::new(),
+            "unknown experiment 'r-f99'; try: list\n".to_string()
+        )
+    );
 }

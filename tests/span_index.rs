@@ -6,12 +6,12 @@
 //! always-on reservoir must keep naming the histogram's exact maximum.
 
 use hni_atm::VcId;
-use hni_core::e2esim::{run_e2e_faulted_instrumented, run_e2e_instrumented};
+use hni_core::e2esim::run_e2e_with;
 use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, TxConfig, TxPacket};
 use hni_sim::{Duration, FaultPlan};
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute_tail, PacketSpans, VecTracer};
+use hni_telemetry::{attribute_tail, NullProfiler, PacketSpans, VecTracer};
 
 const PROPAGATION: Duration = Duration::from_us(5);
 
@@ -35,7 +35,7 @@ fn duplicated_cells_keep_every_span_telescoping() {
         ..FaultPlan::NONE
     };
     let mut tracer = VecTracer::new();
-    let (report, lf) = run_e2e_faulted_instrumented(
+    let (report, lf) = run_e2e_with(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
         &workload(12),
@@ -43,6 +43,7 @@ fn duplicated_cells_keep_every_span_telescoping() {
         &plan,
         0xd0b1e5,
         &mut tracer,
+        &mut NullProfiler,
     );
     assert!(lf.duplicated > 0, "plan must actually duplicate: {lf:?}");
     let spans = PacketSpans::from_events(&tracer.into_events());
@@ -79,7 +80,7 @@ fn duplicated_cells_keep_every_span_telescoping() {
 fn lost_packets_leave_partial_but_attributable_spans() {
     let plan = FaultPlan::loss(0.05);
     let mut tracer = VecTracer::new();
-    let (report, lf) = run_e2e_faulted_instrumented(
+    let (report, lf) = run_e2e_with(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
         &workload(20),
@@ -87,6 +88,7 @@ fn lost_packets_leave_partial_but_attributable_spans() {
         &plan,
         0x10557,
         &mut tracer,
+        &mut NullProfiler,
     );
     assert!(lf.dropped > 0, "plan must actually drop: {lf:?}");
     let spans = PacketSpans::from_events(&tracer.into_events());
@@ -126,12 +128,15 @@ fn lost_packets_leave_partial_but_attributable_spans() {
 fn reservoir_names_the_histogram_max_and_reruns_identically() {
     let run = || {
         let mut tracer = VecTracer::new();
-        let r = run_e2e_instrumented(
+        let (r, _) = run_e2e_with(
             &TxConfig::paper(LineRate::Oc12),
             &RxConfig::paper(LineRate::Oc12),
             &workload(20),
             PROPAGATION,
+            &FaultPlan::NONE,
+            0,
             &mut tracer,
+            &mut NullProfiler,
         );
         (r, tracer.into_events())
     };
@@ -168,7 +173,7 @@ fn zero_length_packets_survive_the_faulted_path() {
         p.len = 0;
     }
     let mut tracer = VecTracer::new();
-    let (_, lf) = run_e2e_faulted_instrumented(
+    let (_, lf) = run_e2e_with(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
         &wl,
@@ -179,6 +184,7 @@ fn zero_length_packets_survive_the_faulted_path() {
         },
         0x1e43,
         &mut tracer,
+        &mut NullProfiler,
     );
     assert_eq!(lf.dropped, 0, "duplication-only plan must not drop");
     let spans = PacketSpans::from_events(&tracer.into_events());

@@ -1,29 +1,34 @@
 //! Golden guarantee of the telemetry layer: turning tracing on must not
 //! change a single simulated outcome. Every instrumented pipeline is run
-//! twice — once through its plain API (NullTracer inside) and once with
-//! a recording tracer — and the reports are compared byte for byte via
-//! their `Debug` rendering (which includes every counter, time and
-//! statistic they carry).
+//! twice — once with a `NullTracer` and once with a recording tracer —
+//! and the reports are compared byte for byte via their `Debug`
+//! rendering (which includes every counter, time and statistic they
+//! carry).
 
 use hni_aal::AalType;
 use hni_atm::VcId;
-use hni_core::e2esim::{run_e2e, run_e2e_instrumented};
-use hni_core::rxsim::{run_rx_instrumented, run_rx_traced, RxConfig, RxWorkload};
-use hni_core::txsim::{greedy_workload, run_tx_instrumented, run_tx_traced, TxConfig};
+use hni_core::e2esim::{run_e2e, run_e2e_with};
+use hni_core::rxsim::{run_rx, run_rx_with, RxConfig, RxWorkload};
+use hni_core::txsim::{greedy_workload, run_tx, run_tx_with, TxConfig};
 use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
-use hni_sim::{Duration, Time};
+use hni_sim::{Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::VecTracer;
+use hni_telemetry::{NullProfiler, NullTracer, VecTracer};
 
 #[test]
 fn tx_report_identical_with_tracing_on() {
     let cfg = TxConfig::paper(LineRate::Oc12);
     let wl = greedy_workload(15, 9180, VcId::new(0, 32));
-    let (plain_report, plain_departures) = run_tx_traced(&cfg, &wl);
+    let (plain_report, plain_departures) =
+        run_tx_with(&cfg, &wl, &mut NullTracer, &mut NullProfiler);
     let mut tracer = VecTracer::new();
-    let (traced_report, traced_departures) = run_tx_instrumented(&cfg, &wl, &mut tracer);
+    let (traced_report, traced_departures) = run_tx_with(&cfg, &wl, &mut tracer, &mut NullProfiler);
     assert!(!tracer.is_empty(), "instrumented run must record events");
     assert_eq!(format!("{plain_report:?}"), format!("{traced_report:?}"));
+    assert_eq!(
+        format!("{:?}", run_tx(&cfg, &wl)),
+        format!("{traced_report:?}")
+    );
     assert_eq!(
         format!("{plain_departures:?}"),
         format!("{traced_departures:?}")
@@ -34,11 +39,18 @@ fn tx_report_identical_with_tracing_on() {
 fn rx_report_identical_with_tracing_on() {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 6, 9180, 1.0);
-    let (plain_report, plain_done) = run_rx_traced(&cfg, &wl);
+    let none = &FaultPlan::NONE;
+    let (plain_report, plain_done, _) =
+        run_rx_with(&cfg, &wl, none, 0, &mut NullTracer, &mut NullProfiler);
     let mut tracer = VecTracer::new();
-    let (traced_report, traced_done) = run_rx_instrumented(&cfg, &wl, &mut tracer);
+    let (traced_report, traced_done, _) =
+        run_rx_with(&cfg, &wl, none, 0, &mut tracer, &mut NullProfiler);
     assert!(!tracer.is_empty());
     assert_eq!(format!("{plain_report:?}"), format!("{traced_report:?}"));
+    assert_eq!(
+        format!("{:?}", run_rx(&cfg, &wl)),
+        format!("{traced_report:?}")
+    );
     assert_eq!(format!("{plain_done:?}"), format!("{traced_done:?}"));
 }
 
@@ -50,7 +62,17 @@ fn e2e_report_identical_with_tracing_on() {
     let prop = Duration::from_us(5);
     let plain = run_e2e(&txc, &rxc, &wl, prop);
     let mut tracer = VecTracer::new();
-    let traced = run_e2e_instrumented(&txc, &rxc, &wl, prop, &mut tracer);
+    let none = &FaultPlan::NONE;
+    let (traced, _) = run_e2e_with(
+        &txc,
+        &rxc,
+        &wl,
+        prop,
+        none,
+        0,
+        &mut tracer,
+        &mut NullProfiler,
+    );
     assert!(!tracer.is_empty());
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
 }
@@ -134,8 +156,9 @@ fn rerunning_the_trace_is_deterministic() {
     let prop = Duration::from_us(5);
     let mut t1 = VecTracer::new();
     let mut t2 = VecTracer::new();
-    run_e2e_instrumented(&txc, &rxc, &wl, prop, &mut t1);
-    run_e2e_instrumented(&txc, &rxc, &wl, prop, &mut t2);
+    let none = &FaultPlan::NONE;
+    run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut t1, &mut NullProfiler);
+    run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut t2, &mut NullProfiler);
     assert_eq!(
         hni_telemetry::jsonl::to_jsonl(t1.events()),
         hni_telemetry::jsonl::to_jsonl(t2.events())

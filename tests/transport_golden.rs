@@ -12,8 +12,8 @@
 //!    published number.
 
 use hni_bench::experiments::rw1_transport;
-use hni_faults::{scenarios, DelayLine, DelayModel, FaultPlan};
-use hni_sim::Duration;
+use hni_sim::faults::scenarios;
+use hni_sim::{DelayLine, DelayModel, Duration, FaultPlan};
 use hni_sonet::LineRate;
 use hni_transport::{run_transport, TransportConfig};
 

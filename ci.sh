@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Local CI gate: formatting, lints-as-errors, docs-as-errors, full test
-# suite, example smoke-runs, and a fresh report_output.txt.
+# suite, example smoke-runs, and a check that report_output.txt is current.
 # Run from the repository root before pushing.
 set -eu
 
@@ -29,19 +29,13 @@ cargo run -q -p hni-bench --bin report --release -- r-r1 > /dev/null
 
 echo "==> bench smoke: report perf --fast emits a valid BENCH_PERF.json"
 cargo run -q -p hni-bench --bin report --release -- perf --fast bench_perf_smoke.json > /dev/null
-for key in '"schema": "hni-bench-perf/1"' '"hot_loops"' '"cells_per_sec"' \
+for key in '"schema": "hni-bench-perf/2"' '"hot_loops"' '"cells_per_sec"' \
            '"speedup"' '"cores"' '"jobs"' \
            'aal5_sar_slab' 'hec_delineation' 'rx_reassembly' 'e2e_cells' \
            'vc_lookup'; do
     grep -q "$key" bench_perf_smoke.json || {
         echo "BENCH_PERF schema: missing $key" >&2; exit 1; }
 done
-grep -q '"telemetry_overhead"' bench_perf_smoke.json || {
-    echo "BENCH_PERF schema: missing telemetry_overhead" >&2; exit 1; }
-grep -q '"reservoir_overhead"' bench_perf_smoke.json || {
-    echo "BENCH_PERF schema: missing reservoir_overhead" >&2; exit 1; }
-grep -q '"transport_overhead"' bench_perf_smoke.json || {
-    echo "BENCH_PERF schema: missing transport_overhead" >&2; exit 1; }
 
 echo "==> perf gate: hec_delineation sustains OC-12 line rate (1.47M cells/s)"
 # The burst delineator must stay comfortably past the 622.08 Mb/s line
@@ -149,7 +143,12 @@ cmp par_eq_serial.txt par_eq_par.txt || {
     echo "parallel sweep diverged from serial report" >&2; exit 1; }
 rm -f par_eq_serial.txt par_eq_par.txt
 
-echo "==> regenerate report_output.txt (report all)"
-cargo run -q -p hni-bench --bin report --release -- all > report_output.txt
+echo "==> report_output.txt matches a fresh report all"
+cargo run -q -p hni-bench --bin report --release -- all > report_output.fresh.txt
+cmp -s report_output.fresh.txt report_output.txt || {
+    rm -f report_output.fresh.txt
+    echo "report output changed; regenerate report_output.txt deliberately" >&2
+    exit 1; }
+rm -f report_output.fresh.txt
 
 echo "CI OK"

@@ -560,7 +560,7 @@ pub fn sampled_trace_experiment(
     seed: u64,
 ) -> Option<Vec<hni_telemetry::TraceEvent>> {
     let events = trace_experiment(id)?;
-    let sampler = hni_telemetry::SamplingTracer::new(hni_telemetry::NullTracer, one_in, seed);
+    let sampler = hni_telemetry::TraceSampler::new(one_in, seed);
     Some(
         events
             .into_iter()

@@ -2,7 +2,7 @@
 //! opposed to the simulated-cycle numbers every `R-*` experiment
 //! reports.
 //!
-//! Four hot loops are timed with the criterion shim's calibrated
+//! Five hot loops are timed with the criterion shim's calibrated
 //! sampler ([`criterion::measure`]) and normalised to cells per second
 //! of real CPU time:
 //!
@@ -12,20 +12,22 @@
 //!   byte stream.
 //! * `rx_reassembly` — AAL5 reassembly of slab cells via
 //!   `deliver_burst`, with SDU buffers recycled to the spare pool.
-//! * `e2e_cells` — segment → deliver round trip per burst, the full
-//!   steady-state fast path.
+//! * `e2e_cells` — AAL5 segment plus reassemble per burst; no cell
+//!   crosses the ATM header, scrambler or SONET layers, so this is not
+//!   the byte-exact `Nic` path (`nicbench`'s `line_bulk_oc12` times
+//!   that).
 //! * `vc_lookup` — the per-cell "which connection?" probe against a
 //!   fully-populated sharded [`VcTable`], Zipf-distributed keys — the
 //!   wall-clock companion of R-S1's deterministic probe counts.
 //!
-//! A fifth measurement times the R-F1 report sweep serially
+//! A sixth measurement times the R-F1 report sweep serially
 //! (`jobs = 1`) and under the `HNI_JOBS` worker pool, reporting the
 //! observed speedup **and the machine's core count** — the speedup is a
 //! property of the host, not the code; on a single-core machine it is
 //! ~1× by physics (see README "Performance").
 //!
 //! Results are written as `BENCH_PERF.json` (schema
-//! `hni-bench-perf/1`, hand-rolled writer — the workspace has no JSON
+//! `hni-bench-perf/2`, hand-rolled writer — the workspace has no JSON
 //! dependency). Wall-clock numbers are hardware-dependent and are NOT
 //! golden: CI validates the schema and the serial/parallel report
 //! equality, never the timings themselves.
@@ -36,8 +38,7 @@ use criterion::{measure, BenchResult};
 use hni_aal::aal5::{self, Aal5Reassembler};
 use hni_atm::{CellSlab, Delineator, VcId, VcTable, CELL_SIZE};
 use hni_sim::{Duration, Rng, Time, Zipf};
-use hni_telemetry::{json, HdrHist, LoopSample, SentinelRecord, TailReservoir, VcMetrics};
-use hni_transport::{RtoConfig, RtoEstimator, SendWindow};
+use hni_telemetry::{json, LoopSample, SentinelRecord};
 
 /// One hot loop's timing, normalised to cell rate.
 pub struct HotLoop {
@@ -71,23 +72,6 @@ pub struct PerfReport {
     pub hot_loops: Vec<HotLoop>,
     /// R-F1 sweep serial vs parallel.
     pub sweep: SweepTiming,
-    /// Always-on-telemetry overhead on the e2e hot loop:
-    /// `e2e_cells_telemetry` median / `e2e_cells` median − 1
-    /// (0.03 means the histograms + top-K cost 3%; the acceptance
-    /// budget is <5% — noisy on `fast` mode, nothing gates on it).
-    pub telemetry_overhead: f64,
-    /// Tail-exemplar-reservoir overhead on the e2e hot loop:
-    /// `e2e_cells_reservoir` median / `e2e_cells` median − 1. The
-    /// reservoir is measured in isolation (no histograms or top-K in
-    /// the loop) so the ratio prices exactly what the always-on
-    /// exemplars add per packet completion. Same <5% budget.
-    pub reservoir_overhead: f64,
-    /// Closed-loop transport bookkeeping overhead on the e2e hot loop:
-    /// `e2e_cells_transport` median / `e2e_cells` median − 1. Per
-    /// frame the data path completes, `hni-transport` runs one sliding-
-    /// window take/ack cycle and one Jacobson RTO update — that control
-    /// plane must stay in the data path's noise. Same <5% budget.
-    pub transport_overhead: f64,
 }
 
 const SDU_LEN: usize = 9180;
@@ -160,7 +144,7 @@ pub fn run_perf(fast: bool) -> PerfReport {
     let rx = hot_loop(rx, burst_cells);
     slab.free_all(&refs);
 
-    // --- full segment → deliver round trip ---
+    // --- AAL5 segment → reassemble round trip ---
     let e2e = measure("e2e_cells", samples, sample_s, || {
         refs.clear();
         aal5::segment_burst(vc, &sdus, 0, &mut slab, &mut refs);
@@ -200,84 +184,6 @@ pub fn run_perf(fast: bool) -> PerfReport {
     });
     let vcl = hot_loop(vcl, lookup_keys.len());
 
-    // --- the same round trip with the always-on telemetry attached ---
-    // Per cell: one VcMetrics.record_cell (shard counters + top-K last
-    // -hit cache). Per SDU: one HdrHist.record. That is exactly the
-    // cadence the tx/rx simulators pay, so the ratio against the plain
-    // `e2e_cells` loop IS the telemetry plane's overhead.
-    let mut vc_metrics = VcMetrics::default();
-    let mut lat_hist = HdrHist::new();
-    let e2e_tel = measure("e2e_cells_telemetry", samples, sample_s, || {
-        refs.clear();
-        aal5::segment_burst(vc, &sdus, 0, &mut slab, &mut refs);
-        for i in 0..refs.len() {
-            vc_metrics.record_cell(vc.cam_key(), 53);
-            // Keep the index live so the loop cannot be folded away.
-            std::hint::black_box(i);
-        }
-        done.clear();
-        reasm.deliver_burst(&refs, &slab, Time::ZERO, &mut done);
-        slab.free_all(&refs);
-        for (i, sdu) in done.drain(..).flatten().enumerate() {
-            lat_hist.record((i as u64 + 1) * 1_000_000);
-            reasm.recycle(sdu.data);
-        }
-    });
-    let e2e_tel = hot_loop(e2e_tel, burst_cells);
-    let telemetry_overhead = e2e_tel.result.median_ns / e2e.result.median_ns.max(1e-9) - 1.0;
-
-    // --- the round trip plus the always-on tail reservoir ---
-    // Per SDU: one TailReservoir.record — the cadence the simulators
-    // pay at each packet completion. Measured without the histogram or
-    // top-K calls so the ratio against `e2e_cells` isolates what the
-    // exemplar reservoir alone adds.
-    let mut tail = TailReservoir::paper();
-    let e2e_res = measure("e2e_cells_reservoir", samples, sample_s, || {
-        refs.clear();
-        aal5::segment_burst(vc, &sdus, 0, &mut slab, &mut refs);
-        done.clear();
-        reasm.deliver_burst(&refs, &slab, Time::ZERO, &mut done);
-        slab.free_all(&refs);
-        for (i, sdu) in done.drain(..).flatten().enumerate() {
-            let lat = Duration::from_ps((i as u64 + 1) * 1_000_000);
-            tail.record(vc.cam_key(), i as u32, lat, Time::ZERO + lat);
-            reasm.recycle(sdu.data);
-        }
-    });
-    let e2e_res = hot_loop(e2e_res, burst_cells);
-    let reservoir_overhead = e2e_res.result.median_ns / e2e.result.median_ns.max(1e-9) - 1.0;
-
-    // --- the round trip plus the closed-loop transport bookkeeping ---
-    // Per SDU: one sliding-window take/cum-ack cycle and one Jacobson
-    // RTT sample + RTO read — the control-plane work `hni-transport`
-    // adds for each frame the data path completes. Cells ride the same
-    // slab fast path, so the ratio against `e2e_cells` prices exactly
-    // the window/RTO tax.
-    const WIN_FRAMES: usize = 1 << 16;
-    let mut win = SendWindow::new(BURST_SDUS, WIN_FRAMES);
-    let mut est = RtoEstimator::new(RtoConfig::DEFAULT);
-    let e2e_tr = measure("e2e_cells_transport", samples, sample_s, || {
-        refs.clear();
-        aal5::segment_burst(vc, &sdus, 0, &mut slab, &mut refs);
-        done.clear();
-        reasm.deliver_burst(&refs, &slab, Time::ZERO, &mut done);
-        slab.free_all(&refs);
-        for (i, sdu) in done.drain(..).flatten().enumerate() {
-            if !win.can_send_new() {
-                // The scratch transfer ran dry; recreating it is rare
-                // (every 2^16 frames) and amortises to nothing.
-                win = SendWindow::new(BURST_SDUS, WIN_FRAMES);
-            }
-            let seq = win.take_next();
-            est.sample(Duration::from_ps((i as u64 + 1) * 1_000_000));
-            win.on_cum_ack(seq + 1);
-            std::hint::black_box(est.rto());
-            reasm.recycle(sdu.data);
-        }
-    });
-    let e2e_tr = hot_loop(e2e_tr, burst_cells);
-    let transport_overhead = e2e_tr.result.median_ns / e2e.result.median_ns.max(1e-9) - 1.0;
-
     // --- serial vs parallel R-F1 sweep ---
     let pkts = if fast { 3 } else { 12 };
     let sweep_samples = if fast { 3 } else { 7 };
@@ -298,11 +204,8 @@ pub fn run_perf(fast: bool) -> PerfReport {
     PerfReport {
         mode: if fast { "fast" } else { "full" },
         cores: available_cores(),
-        hot_loops: vec![sar, hec, rx, e2e, vcl, e2e_tel, e2e_res, e2e_tr],
+        hot_loops: vec![sar, hec, rx, e2e, vcl],
         sweep,
-        telemetry_overhead,
-        reservoir_overhead,
-        transport_overhead,
     }
 }
 
@@ -315,21 +218,12 @@ fn jnum(v: f64) -> String {
     }
 }
 
-/// [`jnum`] at ratio precision (overheads are small numbers).
-fn jnum6(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 impl PerfReport {
-    /// Serialise as the `hni-bench-perf/1` JSON document.
+    /// Serialise as the `hni-bench-perf/2` JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"hni-bench-perf/1\",\n");
+        s.push_str("  \"schema\": \"hni-bench-perf/2\",\n");
         s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
         s.push_str(&format!("  \"cores\": {},\n", self.cores));
         s.push_str("  \"hot_loops\": [\n");
@@ -353,18 +247,6 @@ impl PerfReport {
             });
         }
         s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"telemetry_overhead\": {},\n",
-            jnum6(self.telemetry_overhead)
-        ));
-        s.push_str(&format!(
-            "  \"reservoir_overhead\": {},\n",
-            jnum6(self.reservoir_overhead)
-        ));
-        s.push_str(&format!(
-            "  \"transport_overhead\": {},\n",
-            jnum6(self.transport_overhead)
-        ));
         s.push_str("  \"sweep\": {\n");
         s.push_str("    \"name\": \"r-f1\",\n");
         s.push_str(&format!(
@@ -395,12 +277,6 @@ impl PerfReport {
         }
         format!(
             "Wall-clock perf ({} mode, {} core{})\n\n{}\n\
-             Always-on telemetry overhead (e2e_cells_telemetry vs e2e_cells): {:+.1}%\n\
-             (budget <5% — histograms + per-VC top-K ride the hot loop by default)\n\
-             Tail reservoir overhead (e2e_cells_reservoir vs e2e_cells): {:+.1}%\n\
-             (same budget — the exemplar reservoir is always on too)\n\
-             Transport overhead (e2e_cells_transport vs e2e_cells): {:+.1}%\n\
-             (same budget — the closed loop's window/RTO bookkeeping per frame)\n\
              R-F1 sweep: serial {:.1} ms, parallel {:.1} ms at {} jobs → {:.2}x speedup\n\
              (speedup is bounded by the host's core count; simulated results\n\
               are byte-identical either way — see README \"Performance\")\n",
@@ -408,9 +284,6 @@ impl PerfReport {
             self.cores,
             if self.cores == 1 { "" } else { "s" },
             t.render(),
-            self.telemetry_overhead * 100.0,
-            self.reservoir_overhead * 100.0,
-            self.transport_overhead * 100.0,
             self.sweep.serial_ns / 1e6,
             self.sweep.parallel_ns / 1e6,
             self.sweep.jobs,
@@ -435,25 +308,6 @@ impl PerfReport {
             name: "sweep_serial".into(),
             median_ns: self.sweep.serial_ns,
         });
-        // The overhead ratios ride along as factors (1.0 + overhead):
-        // a factor stays near 1, so the sentinel's multiplicative
-        // tolerance reads naturally ("the telemetry tax grew 3×"),
-        // where the raw overhead — a small number near zero — would
-        // make any ratio meaningless. Older history lines without
-        // these names are fine: comparison is by name and one-sided
-        // names are ignored.
-        samples.push(LoopSample {
-            name: "telemetry_overhead_factor".into(),
-            median_ns: 1.0 + self.telemetry_overhead,
-        });
-        samples.push(LoopSample {
-            name: "reservoir_overhead_factor".into(),
-            median_ns: 1.0 + self.reservoir_overhead,
-        });
-        samples.push(LoopSample {
-            name: "transport_overhead_factor".into(),
-            median_ns: 1.0 + self.transport_overhead,
-        });
         SentinelRecord {
             mode: self.mode.to_string(),
             samples,
@@ -469,48 +323,24 @@ mod tests {
     fn fast_perf_runs_and_serialises() {
         let r = run_perf(true);
         assert_eq!(r.mode, "fast");
-        assert_eq!(r.hot_loops.len(), 8);
+        assert_eq!(r.hot_loops.len(), 5);
         for h in &r.hot_loops {
             assert!(h.cells_per_sec > 0.0, "{}", h.result.name);
             assert!(h.result.median_ns > 0.0, "{}", h.result.name);
         }
         assert!(r.sweep.speedup > 0.0);
-        // Telemetry overhead is a ratio around zero; `fast` mode is
-        // noisy, so only sanity-bound it (the <5% budget is checked on
-        // full runs by eye and by the sentinel history).
-        assert!(
-            r.telemetry_overhead.is_finite() && r.telemetry_overhead > -1.0,
-            "overhead {}",
-            r.telemetry_overhead
-        );
-        assert!(
-            r.reservoir_overhead.is_finite() && r.reservoir_overhead > -1.0,
-            "reservoir overhead {}",
-            r.reservoir_overhead
-        );
-        assert!(
-            r.transport_overhead.is_finite() && r.transport_overhead > -1.0,
-            "transport overhead {}",
-            r.transport_overhead
-        );
         let json = r.to_json();
         for key in [
-            "\"schema\": \"hni-bench-perf/1\"",
+            "\"schema\": \"hni-bench-perf/2\"",
             "\"hot_loops\"",
             "\"cells_per_sec\"",
             "\"speedup\"",
             "\"cores\"",
-            "\"telemetry_overhead\"",
-            "\"reservoir_overhead\"",
-            "\"transport_overhead\"",
             "aal5_sar_slab",
             "hec_delineation",
             "rx_reassembly",
             "e2e_cells",
             "vc_lookup",
-            "e2e_cells_telemetry",
-            "e2e_cells_reservoir",
-            "e2e_cells_transport",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
@@ -527,24 +357,9 @@ mod tests {
         );
         let text = r.render();
         assert!(text.contains("speedup"), "{text}");
-        assert!(text.contains("telemetry overhead"), "{text}");
-        assert!(text.contains("reservoir overhead"), "{text}");
-        assert!(text.contains("Transport overhead"), "{text}");
         // The sentinel record round-trips through its own line format.
         let rec = r.sentinel_record();
-        assert_eq!(
-            rec.samples.len(),
-            12,
-            "8 hot loops + sweep_serial + 3 overhead factors"
-        );
-        assert!(rec
-            .samples
-            .iter()
-            .any(|s| s.name == "reservoir_overhead_factor" && s.median_ns > 0.0));
-        assert!(rec
-            .samples
-            .iter()
-            .any(|s| s.name == "transport_overhead_factor" && s.median_ns > 0.0));
+        assert_eq!(rec.samples.len(), 6, "5 hot loops + sweep_serial");
         let parsed = SentinelRecord::parse_line(&rec.to_line()).expect("own line parses");
         assert_eq!(parsed.mode, "fast");
         assert_eq!(parsed.samples.len(), rec.samples.len());

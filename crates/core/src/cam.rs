@@ -109,6 +109,14 @@ impl Cam {
         }
     }
 
+    /// Whether `index` is installed for a key other than `vc`'s — the
+    /// case in which [`Cam::insert`] refuses it even with room to spare.
+    pub(crate) fn index_held_by_other(&self, index: u16, vc: VcId) -> bool {
+        self.index_owner
+            .get(&index)
+            .is_some_and(|&owner| owner != vc.cam_key())
+    }
+
     /// Remove a mapping; returns whether it existed.
     pub fn remove(&mut self, vc: VcId) -> bool {
         match self.entries.remove(vc.cam_key() as u64) {

@@ -53,7 +53,7 @@ use hni_atm::{Cell, CellRef, CellSlab, VcId, CELL_SIZE};
 use hni_sim::link::apply_bit_errors;
 use hni_sim::{FaultInjector, Time, UnitFate};
 use hni_sonet::{TcReceiver, TcTransmitter};
-use hni_telemetry::{NullTracer, Stage, TraceEvent, Tracer, VcMetrics};
+use hni_telemetry::VcMetrics;
 use std::collections::VecDeque;
 
 /// What the interface reports up to the host driver.
@@ -170,14 +170,24 @@ impl Nic {
     }
 
     /// Open a connection: installs the CAM entry both directions use.
+    ///
+    /// Connection indices are handed out round-robin over the u16 space.
+    /// Once the counter wraps it can land on an index a long-lived VC
+    /// still holds; such indices are skipped, so only a full CAM refuses
+    /// the open.
     pub fn open_vc(&mut self, vc: VcId) -> Result<(), NicError> {
-        let idx = self.next_conn_index;
-        if self.cam.insert(vc, idx) {
-            self.next_conn_index = self.next_conn_index.wrapping_add(1);
-            Ok(())
-        } else {
-            Err(NicError::CamFull)
+        for _ in 0..=u16::MAX {
+            let idx = self.next_conn_index;
+            if self.cam.insert(vc, idx) {
+                self.next_conn_index = idx.wrapping_add(1);
+                return Ok(());
+            }
+            if !self.cam.index_held_by_other(idx, vc) {
+                break; // capacity, not a collision
+            }
+            self.next_conn_index = idx.wrapping_add(1);
         }
+        Err(NicError::CamFull)
     }
 
     /// Close a connection.
@@ -310,19 +320,6 @@ impl Nic {
     /// Feed octets received from the line; events become available via
     /// [`Nic::poll`].
     pub fn receive_line_octets(&mut self, octets: &[u8], now: Time) {
-        self.receive_line_octets_instrumented(octets, now, &mut NullTracer)
-    }
-
-    /// [`Nic::receive_line_octets`] with a tracer observing the per-cell
-    /// receive boundaries the functional path crosses discretely: HEC
-    /// acceptance (delineation hands the cell up) and the CAM / VCI
-    /// lookup (arg = 1 hit, 0 miss).
-    pub fn receive_line_octets_instrumented(
-        &mut self,
-        octets: &[u8],
-        now: Time,
-        tracer: &mut dyn Tracer,
-    ) {
         // The cell scratch is a reused field: no per-delivery allocation
         // once the working set is warm. Taken out of `self` so the
         // per-cell handler can borrow the rest of the interface.
@@ -330,12 +327,7 @@ impl Nic {
         cells.clear();
         self.tc_rx.push_bytes(octets, &mut cells);
         for cell in &cells {
-            if tracer.enabled() {
-                // A cell only emerges from the TC receiver once its HEC
-                // passed inside cell delineation.
-                tracer.record(TraceEvent::instant(now, Stage::RxHec));
-            }
-            self.receive_cell(cell, now, tracer);
+            self.receive_cell(cell, now);
         }
         self.rx_cells = cells;
         self.maybe_expire(now);
@@ -349,43 +341,22 @@ impl Nic {
     /// the per-cell path, so results are byte-identical to feeding the
     /// cells one at a time.
     pub fn rx_burst(&mut self, refs: &[CellRef], slab: &CellSlab, now: Time) {
-        self.rx_burst_instrumented(refs, slab, now, &mut NullTracer)
-    }
-
-    /// [`Nic::rx_burst`] with a tracer observing the same per-cell
-    /// boundaries as the line-octet path, so profiles charge batched
-    /// activity identically.
-    pub fn rx_burst_instrumented(
-        &mut self,
-        refs: &[CellRef],
-        slab: &CellSlab,
-        now: Time,
-        tracer: &mut dyn Tracer,
-    ) {
         for &r in refs {
-            self.receive_cell(slab.get(r), now, tracer);
+            self.receive_cell(slab.get(r), now);
         }
         self.maybe_expire(now);
     }
 
     /// The per-cell receive body shared by every entry point: CAM
     /// lookup, OAM handling, reassembly, event generation.
-    fn receive_cell(&mut self, cell: &Cell, now: Time, tracer: &mut dyn Tracer) {
+    fn receive_cell(&mut self, cell: &Cell, now: Time) {
         let Ok(header) = cell.header() else { return };
         let vc = header.vc();
         // Always-on per-VC accounting before any disposition: unknown-VC
         // and OAM cells count toward their VC's volume too.
         self.rx_vc_metrics
             .record_cell(vc.cam_key(), CELL_SIZE as u64);
-        let miss = matches!(self.cam.lookup(vc), CamResult::Miss);
-        if tracer.enabled() {
-            tracer.record(
-                TraceEvent::instant(now, Stage::RxCamLookup)
-                    .vc(vc.cam_key())
-                    .arg(u64::from(!miss)),
-            );
-        }
-        if miss {
+        if matches!(self.cam.lookup(vc), CamResult::Miss) {
             self.unknown_vc_cells += 1;
             self.events.push_back(NicEvent::UnknownVc(vc));
             return;
@@ -405,13 +376,6 @@ impl Nic {
             None => {}
             Some(Ok(sdu)) => {
                 self.sdus_received += 1;
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(now, Stage::RxReasmComplete)
-                            .vc(sdu.vc.cam_key())
-                            .arg(sdu.data.len() as u64),
-                    );
-                }
                 self.events.push_back(NicEvent::PacketReceived {
                     vc: sdu.vc,
                     mid: sdu.mid,
@@ -765,6 +729,24 @@ mod tests {
         assert_eq!(nic.open_vc(VcId::new(0, 34)), Err(NicError::CamFull));
         nic.close_vc(VcId::new(0, 32));
         assert!(nic.open_vc(VcId::new(0, 34)).is_ok());
+    }
+
+    #[test]
+    fn open_vc_survives_connection_index_wrap() {
+        // VC 32 holds index 0 for good while VC 33 churns through the
+        // other 65,535 indices, so the counter wraps onto index 0.
+        let mut cfg = NicConfig::paper(LineRate::Oc3);
+        cfg.cam_capacity = 4;
+        let mut nic = Nic::new(cfg);
+        nic.open_vc(VcId::new(0, 32)).unwrap();
+        for _ in 0..u16::MAX {
+            nic.open_vc(VcId::new(0, 33)).unwrap();
+            assert!(nic.close_vc(VcId::new(0, 33)));
+        }
+        assert_eq!(nic.open_vc(VcId::new(0, 34)), Ok(()));
+        assert_eq!(nic.open_vc(VcId::new(0, 35)), Ok(()));
+        assert_eq!(nic.open_vc(VcId::new(0, 36)), Ok(()));
+        assert_eq!(nic.open_vc(VcId::new(0, 37)), Err(NicError::CamFull));
     }
 }
 

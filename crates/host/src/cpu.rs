@@ -1,7 +1,6 @@
 //! The host CPU: instruction rate and memory bandwidth.
 
-use hni_sim::{Duration, Time};
-use hni_telemetry::{Activity, Component, Profiler};
+use hni_sim::Duration;
 
 /// A workstation-class CPU.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,39 +39,6 @@ impl HostCpu {
     pub fn copy_time(&self, bytes: usize) -> Duration {
         Duration::from_s_f64(bytes as f64 / self.copy_bytes_per_second)
     }
-
-    /// [`HostCpu::instr_time`], charging the interval to the profiler as
-    /// `(host.cpu, activity)` starting at `now`. Returns the same
-    /// duration as the unprofiled call.
-    pub fn instr_time_profiled(
-        &self,
-        instr: u64,
-        now: Time,
-        activity: Activity,
-        profiler: &mut dyn Profiler,
-    ) -> Duration {
-        let t = self.instr_time(instr);
-        if profiler.enabled() {
-            profiler.charge(Component::HostCpu, activity, now, t);
-        }
-        t
-    }
-
-    /// [`HostCpu::copy_time`], charging the interval to the profiler as
-    /// `(host.cpu, activity)` starting at `now`.
-    pub fn copy_time_profiled(
-        &self,
-        bytes: usize,
-        now: Time,
-        activity: Activity,
-        profiler: &mut dyn Profiler,
-    ) -> Duration {
-        let t = self.copy_time(bytes);
-        if profiler.enabled() {
-            profiler.charge(Component::HostCpu, activity, now, t);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -100,28 +66,5 @@ mod tests {
         let s = HostCpu::server();
         assert!(s.instr_time(1000) < w.instr_time(1000));
         assert!(s.copy_time(1000) < w.copy_time(1000));
-    }
-
-    #[test]
-    fn profiled_times_match_plain_and_charge_host_cpu() {
-        use hni_telemetry::{CycleProfiler, NullProfiler};
-
-        let cpu = HostCpu::workstation();
-        let mut prof = CycleProfiler::new();
-        let t1 = cpu.instr_time_profiled(1000, Time::ZERO, Activity::Sar, &mut prof);
-        assert_eq!(t1, cpu.instr_time(1000));
-        let t2 = cpu.copy_time_profiled(5000, Time::ZERO + t1, Activity::Driver, &mut prof);
-        assert_eq!(t2, cpu.copy_time(5000));
-        let p = prof.snapshot(Time::ZERO + t1 + t2);
-        assert_eq!(p.total(Component::HostCpu, Activity::Sar), t1);
-        assert_eq!(p.total(Component::HostCpu, Activity::Driver), t2);
-        assert_eq!(p.active_time(Component::HostCpu), t1 + t2);
-
-        // Null path returns identical durations.
-        let mut off = NullProfiler;
-        assert_eq!(
-            cpu.instr_time_profiled(1000, Time::ZERO, Activity::Sar, &mut off),
-            t1
-        );
     }
 }

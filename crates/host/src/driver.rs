@@ -17,7 +17,6 @@
 
 use crate::cpu::HostCpu;
 use hni_sim::{Duration, Summary, Time};
-use hni_telemetry::{NullTracer, Stage, TraceEvent, Tracer};
 
 /// Driver cost parameters, in host instructions (except the copy, which
 /// is bandwidth-bound).
@@ -121,16 +120,6 @@ impl RxHostModel {
     /// Replay `arrivals` (time-sorted `(time, bytes)` pairs): a serial
     /// CPU takes interrupts per the policy and processes packets FIFO.
     pub fn process(&self, arrivals: &[(Time, usize)]) -> HostRxReport {
-        self.process_instrumented(arrivals, &mut NullTracer)
-    }
-
-    /// [`RxHostModel::process`] with a tracer observing each interrupt
-    /// (arg = batch size) and each application hand-off (arg = bytes).
-    pub fn process_instrumented(
-        &self,
-        arrivals: &[(Time, usize)],
-        tracer: &mut dyn Tracer,
-    ) -> HostRxReport {
         let mut cpu_free = Time::ZERO;
         let mut cpu_busy = Duration::ZERO;
         let mut interrupts = 0u64;
@@ -179,11 +168,7 @@ impl RxHostModel {
 
         for (t_int, pkt_idxs) in batches {
             interrupts += 1;
-            let start = t_int.max(cpu_free);
-            let mut t = start;
-            if tracer.enabled() {
-                tracer.record(TraceEvent::instant(start, Stage::Isr).arg(pkt_idxs.len() as u64));
-            }
+            let mut t = t_int.max(cpu_free);
             let isr = self.cpu.instr_time(self.costs.isr_instr);
             t += isr;
             cpu_busy += isr;
@@ -195,13 +180,6 @@ impl RxHostModel {
                 latency.record_us(t.saturating_since(arr));
                 delivered += bytes as u64;
                 finished_at = t;
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(t, Stage::HostDeliver)
-                            .pkt(i)
-                            .arg(bytes as u64),
-                    );
-                }
             }
             cpu_free = t;
         }

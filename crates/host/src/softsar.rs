@@ -13,8 +13,7 @@
 //! on one axis: host CPU utilization versus offered throughput.
 
 use crate::cpu::HostCpu;
-use hni_sim::{Duration, Time};
-use hni_telemetry::{Activity, Profiler};
+use hni_sim::Duration;
 
 /// Cost table for host-software SAR (instructions, except data touching).
 #[derive(Clone, Copy, Debug)]
@@ -80,56 +79,6 @@ impl SoftSar {
         t
     }
 
-    /// [`SoftSar::packet_time`] with cycle accounting: segmentation
-    /// instructions and the CRC pass are charged as `(host.cpu, sar)`,
-    /// the programmed-I/O word pushes as `(host.cpu, driver)`, laid out
-    /// sequentially from `start`. Returns the identical total duration.
-    pub fn packet_time_profiled(
-        &self,
-        len: usize,
-        cells: usize,
-        start: Time,
-        profiler: &mut dyn Profiler,
-    ) -> Duration {
-        if !profiler.enabled() {
-            return self.packet_time(len, cells);
-        }
-        // Same two instr_time calls as packet_time so the picosecond
-        // roundings agree and the totals are bit-identical.
-        let seg = self.cpu.instr_time(self.costs.per_packet_instr)
-            + self
-                .cpu
-                .instr_time(self.costs.per_cell_instr * cells as u64);
-        let pio = self.costs.pio_word_time * (self.costs.pio_words_per_cell * cells as u64);
-        let mut cursor = start;
-        profiler.charge(
-            hni_telemetry::Component::HostCpu,
-            Activity::Sar,
-            cursor,
-            seg,
-        );
-        cursor += seg;
-        profiler.charge(
-            hni_telemetry::Component::HostCpu,
-            Activity::Driver,
-            cursor,
-            pio,
-        );
-        cursor += pio;
-        let mut total = seg + pio;
-        if self.costs.host_crc {
-            let crc = self.cpu.copy_time(len);
-            profiler.charge(
-                hni_telemetry::Component::HostCpu,
-                Activity::Sar,
-                cursor,
-                crc,
-            );
-            total += crc;
-        }
-        total
-    }
-
     /// Maximum goodput (bits/s) the host can sustain doing SAR itself,
     /// for fixed `len`-octet packets, spending the whole CPU on it.
     pub fn max_goodput_bps(&self, len: usize, cells: usize) -> f64 {
@@ -189,30 +138,6 @@ mod tests {
         assert!(
             (with_crc - without).as_us_f64() > 100.0,
             "CRC of 9180 B at copy speed ≈ 183 µs"
-        );
-    }
-
-    #[test]
-    fn profiled_packet_time_is_identical_and_splits_sar_from_pio() {
-        use hni_telemetry::{Component, CycleProfiler, NullProfiler};
-
-        let s = SoftSar::workstation();
-        let plain = s.packet_time(LEN, CELLS);
-        let mut prof = CycleProfiler::new();
-        let profiled = s.packet_time_profiled(LEN, CELLS, Time::ZERO, &mut prof);
-        assert_eq!(plain, profiled);
-        let p = prof.snapshot(Time::ZERO + plain);
-        // Every charged interval is accounted: sar + driver == total.
-        assert_eq!(p.active_time(Component::HostCpu), plain);
-        // PIO alone is the driver share.
-        let pio = s.costs.pio_word_time * (s.costs.pio_words_per_cell * CELLS as u64);
-        assert_eq!(p.total(Component::HostCpu, Activity::Driver), pio);
-        assert_eq!(p.total(Component::HostCpu, Activity::Sar), plain - pio);
-
-        // Null path degenerates to packet_time.
-        assert_eq!(
-            s.packet_time_profiled(LEN, CELLS, Time::ZERO, &mut NullProfiler),
-            plain
         );
     }
 

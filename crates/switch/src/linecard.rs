@@ -11,7 +11,7 @@
 use crate::fabric::{Switch, SwitchConfig};
 use hni_sim::Time;
 use hni_sonet::{LineRate, TcReceiver, TcTransmitter};
-use hni_telemetry::{Activity, Component, HdrHist, NullProfiler, Profiler};
+use hni_telemetry::HdrHist;
 
 /// One port's SONET termination.
 pub struct LineCard {
@@ -88,25 +88,10 @@ impl SwitchNode {
     /// Produce `port`'s next outgoing 125 µs frame, draining the
     /// fabric's output queue at one cell per payload slot.
     pub fn frame_tick(&mut self, port: usize, now: Time) -> Vec<u8> {
-        self.frame_tick_profiled(port, now, &mut NullProfiler)
-    }
-
-    /// [`SwitchNode::frame_tick`] with cycle accounting: each cell the
-    /// tick drains from the fabric charges one output cell slot of
-    /// `(switch, transfer)`, laid out sequentially from `now`, and the
-    /// port's residual backlog is sampled as the `switch` gauge.
-    pub fn frame_tick_profiled(
-        &mut self,
-        port: usize,
-        now: Time,
-        profiler: &mut dyn Profiler,
-    ) -> Vec<u8> {
         // One frame carries ⌊payload/53⌋ whole cells plus a fractional
         // carry the TC layer tracks internally; drain enough cells to
         // keep the TC queue primed one frame ahead.
         let per_frame = self.rate.payload_octets_per_frame() / 53 + 1;
-        let slot = self.rate.cell_slot_time();
-        let mut drained = 0u64;
         for _ in 0..per_frame {
             if self.cards[port].tx.backlog_cells() > per_frame {
                 break;
@@ -114,20 +99,13 @@ impl SwitchNode {
             match self.fabric.pull(port, now) {
                 Some(cell) => {
                     self.cards[port].tx.push_cell(&cell);
-                    drained += 1;
                 }
                 None => break,
             }
         }
         // Always-on backlog distribution: one sample per tick, O(1),
-        // no allocation; the profiler gauge below stays opt-in.
+        // no allocation.
         self.backlog_hist.record(self.output_backlog(port) as u64);
-        if profiler.enabled() {
-            for i in 0..drained {
-                profiler.charge(Component::Switch, Activity::Transfer, now + slot * i, slot);
-            }
-            profiler.gauge(Component::Switch, now, self.output_backlog(port) as u64);
-        }
         self.cards[port].tx.pull_frame()
     }
 
@@ -214,59 +192,6 @@ mod tests {
                 "payload intact"
             );
         }
-    }
-
-    #[test]
-    fn profiled_tick_matches_plain_and_charges_slots() {
-        use hni_telemetry::CycleProfiler;
-
-        let rate = LineRate::Oc3;
-        let mk = || {
-            let mut node = SwitchNode::new(
-                SwitchConfig {
-                    ports: 2,
-                    output_queue_cells: 128,
-                    clp_threshold: 128,
-                    efci_threshold: 128,
-                },
-                rate,
-            );
-            node.fabric().add_route(
-                0,
-                VcId::new(0, 50),
-                RouteEntry {
-                    out_port: 1,
-                    out_vc: VcId::new(3, 350),
-                },
-            );
-            let mut upstream = TcTransmitter::new(rate);
-            for _ in 0..14 {
-                let f = upstream.pull_frame();
-                node.receive_frame(0, &f, Time::ZERO);
-            }
-            for i in 0..10u8 {
-                let cell = Cell::new(
-                    &HeaderRepr::data(VcId::new(0, 50), i % 2 == 0),
-                    &[i; PAYLOAD_SIZE],
-                )
-                .unwrap();
-                upstream.push_cell(&cell);
-            }
-            let f = upstream.pull_frame();
-            node.receive_frame(0, &f, Time::ZERO);
-            node
-        };
-
-        let mut plain = mk();
-        let mut profiled = mk();
-        let mut prof = CycleProfiler::new();
-        let f1 = plain.frame_tick(1, Time::ZERO);
-        let f2 = profiled.frame_tick_profiled(1, Time::ZERO, &mut prof);
-        assert_eq!(f1, f2, "profiling must not change the output frame");
-        let p = prof.snapshot(Time::from_us(125));
-        let slots = p.total(Component::Switch, Activity::Transfer);
-        // 10 cells drained → exactly 10 output cell slots of transfer.
-        assert_eq!(slots, rate.cell_slot_time() * 10);
     }
 
     #[test]

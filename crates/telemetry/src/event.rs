@@ -7,7 +7,7 @@ use hni_sim::Time;
 pub const NO_ID: u32 = u32::MAX;
 
 /// A pipeline stage boundary. Names are hierarchical, mirroring the
-/// metric naming scheme (`tx.seg`, `rx.reasm.append`, `host.isr`).
+/// metric naming scheme (`tx.seg`, `rx.reasm.append`, `host.cq.push`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
     /// Transmit descriptor fetched / packet arrival at the interface.
@@ -65,14 +65,6 @@ pub enum Stage {
     RxComplete,
     /// Completion-queue push toward the host.
     CompletionPush,
-    /// Host interrupt (ISR entry).
-    Isr,
-    /// Host driver handed the packet to the application.
-    HostDeliver,
-    /// Cell enqueued into a switch output port (arg = queue depth).
-    SwitchEnqueue,
-    /// Cell pulled from a switch output port (arg = queue depth).
-    SwitchDequeue,
 }
 
 impl Stage {
@@ -104,10 +96,6 @@ impl Stage {
             Stage::RxDmaBurst => "rx.dma",
             Stage::RxComplete => "rx.complete",
             Stage::CompletionPush => "host.cq.push",
-            Stage::Isr => "host.isr",
-            Stage::HostDeliver => "host.deliver",
-            Stage::SwitchEnqueue => "switch.enq",
-            Stage::SwitchDequeue => "switch.deq",
         }
     }
 }
@@ -262,10 +250,6 @@ mod tests {
             Stage::RxDmaBurst,
             Stage::RxComplete,
             Stage::CompletionPush,
-            Stage::Isr,
-            Stage::HostDeliver,
-            Stage::SwitchEnqueue,
-            Stage::SwitchDequeue,
         ];
         let names: BTreeSet<&str> = all.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), all.len(), "duplicate stage name");

@@ -14,9 +14,8 @@
 //!   [`NullTracer`] is a no-op whose `enabled()` gate lets every
 //!   instrumentation point vanish from the steady-state path: no
 //!   allocation, no buffering, bit-identical simulation results.
-//! * [`RingTracer`] / [`VecTracer`] — in-memory sinks: a bounded
-//!   preallocated ring for always-on flight recording, and a growing
-//!   buffer for full-run capture.
+//! * [`VecTracer`] — the in-memory sink: a growing buffer for
+//!   full-run capture.
 //! * [`MetricsRegistry`] — named `Counter` / `Histogram` / `RateMeter` /
 //!   `OccupancyTracker` instances (reusing `hni-sim::stats`) under
 //!   hierarchical names (`nic.tx.seg.cells`) with a deterministic text
@@ -46,7 +45,7 @@
 //! * [`topk`] — per-VC accounting at bounded cardinality: exact
 //!   sharded volume counters plus a space-saving top-K heavy-hitter
 //!   tracker, O(K) memory at million-VC scale.
-//! * [`SamplingTracer`] — deterministic 1-in-N sampled tracing whose
+//! * [`TraceSampler`] — deterministic 1-in-N trace sampling whose
 //!   keep/drop decision is a pure function of cell identity, so
 //!   sampled traces are byte-identical across reruns and worker
 //!   counts.
@@ -98,13 +97,13 @@ pub use profiler::{
     Activity, Component, CycleProfiler, GaugeStats, NullProfiler, Profile, Profiler,
 };
 pub use reservoir::{Exemplar, TailReservoir};
-pub use sampler::SamplingTracer;
+pub use sampler::TraceSampler;
 pub use sentinel::{LoopSample, Regression, SentinelRecord};
 pub use spans::{PacketLife, PacketSpans, SpanStage, STAGE_LABELS};
 pub use tailattr::{attribute_tail, StageShare, TailAttribution};
 pub use timeseries::TimeSeries;
 pub use topk::{TopEntry, TopK, VcMetrics, VcShards};
-pub use tracer::{NullTracer, RingTracer, Tracer, VecTracer};
+pub use tracer::{NullTracer, Tracer, VecTracer};
 pub use waterfall::{StageLatency, Waterfall};
 
 pub use hni_sim::{Duration, Time};

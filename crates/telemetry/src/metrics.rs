@@ -206,16 +206,6 @@ impl MetricsRegistry {
                     reg.counter("nic.rx.completions").bump()
                 }
                 Stage::CompletionPush => reg.counter("host.cq.pushes").bump(),
-                Stage::Isr => reg.counter("host.isrs").bump(),
-                Stage::HostDeliver => reg.counter("host.delivered").bump(),
-                Stage::SwitchEnqueue => {
-                    reg.counter("switch.enqueued").bump();
-                    reg.occupancy("switch.queue.occupancy").set(ev.time, ev.arg);
-                }
-                Stage::SwitchDequeue => {
-                    reg.counter("switch.dequeued").bump();
-                    reg.occupancy("switch.queue.occupancy").set(ev.time, ev.arg);
-                }
                 _ => {}
             }
         }

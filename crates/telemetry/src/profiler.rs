@@ -48,15 +48,11 @@ pub enum Component {
     RxPool,
     /// TURBOchannel bus on the receive adaptor.
     RxBus,
-    /// Host CPU (software SAR, driver).
-    HostCpu,
-    /// Switch output stage (fabric drain into the line card).
-    Switch,
 }
 
 impl Component {
     /// Number of components (array dimension).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 9;
 
     /// Every component, in canonical (pipeline) order. This order is the
     /// deterministic tie-break everywhere components are ranked or
@@ -71,8 +67,6 @@ impl Component {
         Component::RxEngine,
         Component::RxPool,
         Component::RxBus,
-        Component::HostCpu,
-        Component::Switch,
     ];
 
     /// Stable hierarchical name (used in folded stacks and the
@@ -88,8 +82,6 @@ impl Component {
             Component::RxEngine => "rx.engine",
             Component::RxPool => "rx.pool",
             Component::RxBus => "rx.bus",
-            Component::HostCpu => "host.cpu",
-            Component::Switch => "switch",
         }
     }
 }
@@ -100,14 +92,10 @@ impl Component {
 pub enum Activity {
     /// Engine executing protocol instructions.
     Busy,
-    /// Data moving (bus data cycles, link cell slots, switch drain).
+    /// Data moving (bus data cycles, link cell slots).
     Transfer,
     /// Bus overhead: burst setup and turnaround cycles.
     Arbitration,
-    /// Host CPU doing segmentation/reassembly work (incl. software CRC).
-    Sar,
-    /// Host CPU doing driver work (programmed I/O, device interaction).
-    Driver,
     /// Ready to work but waiting on an outstanding bus transfer.
     StalledBus,
     /// Ready to work but waiting on FIFO space.
@@ -118,15 +106,13 @@ pub enum Activity {
 
 impl Activity {
     /// Number of activities (array dimension).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
 
     /// Every activity, in rendering order.
     pub const ALL: [Activity; Activity::COUNT] = [
         Activity::Busy,
         Activity::Transfer,
         Activity::Arbitration,
-        Activity::Sar,
-        Activity::Driver,
         Activity::StalledBus,
         Activity::StalledFifo,
         Activity::Idle,
@@ -138,8 +124,6 @@ impl Activity {
             Activity::Busy => "busy",
             Activity::Transfer => "transfer",
             Activity::Arbitration => "arbitration",
-            Activity::Sar => "sar",
-            Activity::Driver => "driver",
             Activity::StalledBus => "stalled.bus",
             Activity::StalledFifo => "stalled.fifo",
             Activity::Idle => "idle",
@@ -152,11 +136,7 @@ impl Activity {
     pub const fn is_active(self) -> bool {
         matches!(
             self,
-            Activity::Busy
-                | Activity::Transfer
-                | Activity::Arbitration
-                | Activity::Sar
-                | Activity::Driver
+            Activity::Busy | Activity::Transfer | Activity::Arbitration
         )
     }
 }
@@ -398,13 +378,7 @@ mod tests {
             .collect();
         assert_eq!(
             active,
-            vec![
-                Activity::Busy,
-                Activity::Transfer,
-                Activity::Arbitration,
-                Activity::Sar,
-                Activity::Driver
-            ]
+            vec![Activity::Busy, Activity::Transfer, Activity::Arbitration]
         );
         assert!(!Activity::StalledBus.is_active());
         assert!(!Activity::StalledFifo.is_active());

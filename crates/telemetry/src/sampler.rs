@@ -1,8 +1,8 @@
-//! Deterministic 1-in-N sampled tracing.
+//! Deterministic 1-in-N trace sampling.
 //!
 //! Full-fidelity tracing cannot stay on at line rate: 9180-byte SDUs at
 //! 622 Mb/s are ~1.6M cells/s, and every cell emits several events. The
-//! [`SamplingTracer`] keeps the trace format usable at that rate by
+//! [`TraceSampler`] keeps the trace format usable at that rate by
 //! keeping roughly one cell in N — but the keep/drop decision is a
 //! **pure function of the event's identity**, not of arrival order:
 //!
@@ -22,8 +22,7 @@
 //! the same way — every stage a sampled cell passes through appears in
 //! the trace, so spans still pair up.
 
-use crate::event::{TraceEvent, NO_ID};
-use crate::tracer::Tracer;
+use crate::event::NO_ID;
 
 /// Fixed 64-bit finalizer (splitmix64) — the same keyed mix everywhere,
 /// so sampling is reproducible across platforms and versions. Shared
@@ -37,27 +36,20 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A tracer adaptor that forwards ~1-in-N events to an inner sink,
-/// chosen by a seeded content hash of the event identity.
-#[derive(Clone, Debug)]
-pub struct SamplingTracer<T: Tracer> {
-    inner: T,
-    seed: u64,
+/// A seeded ~1-in-N filter over trace event identities.
+#[derive(Clone, Copy, Debug)]
+pub struct TraceSampler {
     one_in: u64,
-    seen: u64,
-    kept: u64,
+    seed: u64,
 }
 
-impl<T: Tracer> SamplingTracer<T> {
-    /// Wrap `inner`, keeping one event identity in `one_in` (clamped to
-    /// ≥ 1; 1 keeps everything) under `seed`.
-    pub fn new(inner: T, one_in: u64, seed: u64) -> Self {
+impl TraceSampler {
+    /// Keep one event identity in `one_in` (clamped to ≥ 1; 1 keeps
+    /// everything) under `seed`.
+    pub fn new(one_in: u64, seed: u64) -> Self {
         Self {
-            inner,
-            seed,
             one_in: one_in.max(1),
-            seen: 0,
-            kept: 0,
+            seed,
         }
     }
 
@@ -76,73 +68,18 @@ impl<T: Tracer> SamplingTracer<T> {
         let id = ((vc as u64) << 32 | pkt as u64) ^ mix64(cell as u64);
         mix64(self.seed ^ mix64(id)).is_multiple_of(self.one_in)
     }
-
-    /// Events offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Events forwarded to the inner sink.
-    pub fn kept(&self) -> u64 {
-        self.kept
-    }
-
-    /// The sampling rate denominator.
-    pub fn one_in(&self) -> u64 {
-        self.one_in
-    }
-
-    /// Borrow the inner sink.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Consume the adaptor, returning the inner sink.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-}
-
-impl<T: Tracer> Tracer for SamplingTracer<T> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        self.seen += 1;
-        if self.keeps(ev.vc, ev.pkt, ev.cell) {
-            self.kept += 1;
-            self.inner.record(ev);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Stage;
-    use crate::tracer::VecTracer;
-    use hni_sim::Time;
-
-    fn ev(vc: u32, pkt: u32, cell: u32) -> TraceEvent {
-        let mut e = TraceEvent::instant(Time::from_ns(cell as u64), Stage::TxFramer);
-        e.vc = vc;
-        e.pkt = pkt;
-        e.cell = cell;
-        e
-    }
 
     fn kept_cells(order: &[(u32, u32, u32)], one_in: u64, seed: u64) -> Vec<u32> {
-        let mut t = SamplingTracer::new(VecTracer::new(), one_in, seed);
-        for &(vc, pkt, cell) in order {
-            t.record(ev(vc, pkt, cell));
-        }
-        t.into_inner()
-            .into_events()
+        let s = TraceSampler::new(one_in, seed);
+        order
             .iter()
-            .map(|e| e.cell)
+            .filter(|&&(vc, pkt, cell)| s.keeps(vc, pkt, cell))
+            .map(|&(_, _, cell)| cell)
             .collect()
     }
 
@@ -194,21 +131,13 @@ mod tests {
     }
 
     #[test]
-    fn identityless_events_always_pass_and_counters_track() {
-        let mut t = SamplingTracer::new(VecTracer::new(), 1_000_000, 5);
-        t.record(TraceEvent::instant(Time::ZERO, Stage::TxSetup));
-        for c in 0..100 {
-            t.record(ev(1, 0, c));
-        }
-        assert_eq!(t.seen(), 101);
-        assert_eq!(t.kept(), t.inner().len() as u64);
-        assert!(t.kept() >= 1, "identityless instant must be kept");
-        assert_eq!(t.inner().events()[0].stage, Stage::TxSetup);
-    }
-
-    #[test]
-    fn null_inner_stays_disabled() {
-        let t = SamplingTracer::new(crate::tracer::NullTracer, 8, 0);
-        assert!(!t.enabled());
+    fn identityless_events_always_pass() {
+        let s = TraceSampler::new(1_000_000, 5);
+        assert!(
+            s.keeps(NO_ID, NO_ID, NO_ID),
+            "identityless instant must be kept"
+        );
+        let kept = (0..100).filter(|&c| s.keeps(1, 0, c)).count();
+        assert!(kept < 100, "identified events must be thinned");
     }
 }

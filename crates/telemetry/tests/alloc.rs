@@ -1,14 +1,13 @@
 //! Allocation-count proofs for the tracing and profiling hot paths.
 //!
 //! A per-thread counting global allocator wraps `System`; the tests
-//! assert that recording through a `NullTracer` — and into a warmed
-//! `RingTracer` — and charging through a `NullProfiler` perform zero
-//! heap allocations, which is what makes it safe to leave
+//! assert that recording through a `NullTracer` and charging through a
+//! `NullProfiler` perform zero heap allocations, which is what makes it safe to leave
 //! instrumentation in the per-cell steady-state path.
 
 use hni_telemetry::{
-    Activity, Component, Duration, NullProfiler, NullTracer, Profiler, RingTracer, Stage,
-    TailReservoir, Time, TraceEvent, Tracer,
+    Activity, Component, Duration, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, Time,
+    TraceEvent, Tracer,
 };
 #[path = "../../../tests/common/count_alloc.rs"]
 mod count_alloc;
@@ -71,18 +70,4 @@ fn tail_reservoir_records_without_allocating() {
     assert_eq!(n, 0, "TailReservoir record path allocated {n} times");
     assert_eq!(tail.recorded(), 100_000);
     assert!(!tail.slowest().is_empty() && !tail.sampled().is_empty());
-}
-
-#[test]
-fn warmed_ring_tracer_records_without_allocating() {
-    let mut t = RingTracer::new(1024);
-    let (_, n) = allocs_during(|| {
-        for i in 0..100_000 {
-            if t.enabled() {
-                t.record(ev(i));
-            }
-        }
-    });
-    assert_eq!(n, 0, "warmed RingTracer allocated {n} times");
-    assert_eq!(t.recorded(), 100_000);
 }

@@ -112,9 +112,7 @@ fn par_sweep_byte_identical_across_worker_counts() {
 
 #[test]
 fn telemetry_plane_zero_alloc_in_steady_state() {
-    use hni_telemetry::{
-        HdrHist, NullTracer, SamplingTracer, Stage, TopK, TraceEvent, Tracer, VcMetrics,
-    };
+    use hni_telemetry::{HdrHist, TopK, TraceSampler, VcMetrics};
 
     // Histogram: record + quantile + merge never touch the heap (the
     // 64 buckets are inline arrays).
@@ -149,16 +147,14 @@ fn telemetry_plane_zero_alloc_in_steady_state() {
     });
     assert_eq!(n, 0, "TopK allocated {n} times under eviction churn");
 
-    // Sampling decisions are pure hashing; a kept event through the
-    // NullTracer sink costs nothing either.
-    let mut s = SamplingTracer::new(NullTracer, 1024, 42);
+    // Sampling decisions are pure hashing.
+    let s = TraceSampler::new(1024, 42);
     let (_, n) = allocs_during(|| {
         for i in 0..10_000u32 {
             std::hint::black_box(s.keeps(i % 7, i / 13, i));
-            s.record(TraceEvent::instant(Time::ZERO, Stage::TxSetup).pkt(i as usize));
         }
     });
-    assert_eq!(n, 0, "SamplingTracer allocated {n} times in steady state");
+    assert_eq!(n, 0, "TraceSampler allocated {n} times in steady state");
 }
 
 #[test]

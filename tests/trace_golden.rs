@@ -1,5 +1,5 @@
 //! Golden guarantee of the telemetry layer: turning tracing on must not
-//! change a single simulated outcome. Every instrumented pipeline is run
+//! change a single simulated outcome. Every timing simulator is run
 //! twice — once with a `NullTracer` and once with a recording tracer —
 //! and the reports are compared byte for byte via their `Debug`
 //! rendering (which includes every counter, time and statistic they
@@ -10,8 +10,7 @@ use hni_atm::VcId;
 use hni_core::e2esim::{run_e2e, run_e2e_with};
 use hni_core::rxsim::{run_rx, run_rx_with, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, run_tx, run_tx_with, TxConfig};
-use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
-use hni_sim::{Duration, FaultPlan, Time};
+use hni_sim::{Duration, FaultPlan};
 use hni_sonet::LineRate;
 use hni_telemetry::{NullProfiler, NullTracer, VecTracer};
 
@@ -75,75 +74,6 @@ fn e2e_report_identical_with_tracing_on() {
     );
     assert!(!tracer.is_empty());
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-}
-
-#[test]
-fn host_model_report_identical_with_tracing_on() {
-    let model = RxHostModel {
-        cpu: HostCpu::workstation(),
-        costs: DriverCosts::default(),
-        interrupts: InterruptMode::Coalesced {
-            max_packets: 8,
-            max_delay: Duration::from_ms(1),
-        },
-    };
-    let arrivals: Vec<(Time, usize)> = (0..40).map(|i| (Time::from_us(10 * i), 9180)).collect();
-    let plain = model.process(&arrivals);
-    let mut tracer = VecTracer::new();
-    let traced = model.process_instrumented(&arrivals, &mut tracer);
-    assert!(!tracer.is_empty());
-    assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-}
-
-#[test]
-fn functional_driver_identical_with_tracing_on() {
-    use hni_core::{DriverConfig, HostDriver, Nic, NicConfig};
-    use hni_telemetry::Stage;
-
-    let run = |tracer: &mut dyn hni_telemetry::Tracer| {
-        let cfg = NicConfig::paper(LineRate::Oc3);
-        let mut a = HostDriver::new(Nic::new(cfg.clone()), DriverConfig::default());
-        let mut b = HostDriver::new(Nic::new(cfg), DriverConfig::default());
-        let vc = VcId::new(0, 66);
-        a.nic_mut().open_vc(vc).unwrap();
-        b.nic_mut().open_vc(vc).unwrap();
-        for _ in 0..12 {
-            let f = a.frame_tick(Time::ZERO);
-            b.receive_line_octets(&f, Time::ZERO);
-        }
-        for i in 0..5u8 {
-            a.send(vc, vec![i; 500], Time::ZERO).unwrap();
-        }
-        let mut got = Vec::new();
-        for i in 0..20u64 {
-            let now = Time::from_us(125 * i);
-            let f = a.frame_tick_instrumented(now, tracer);
-            b.receive_line_octets_instrumented(&f, now, tracer);
-            while let Some(p) = b.poll_rx() {
-                got.push(p);
-            }
-        }
-        (got, b.interrupts())
-    };
-
-    let plain = run(&mut hni_telemetry::NullTracer);
-    let mut tracer = VecTracer::new();
-    let traced = run(&mut tracer);
-    assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-    // The recorded stream covers the functional receive boundaries.
-    for stage in [
-        Stage::RxHec,
-        Stage::RxCamLookup,
-        Stage::RxReasmComplete,
-        Stage::CompletionPush,
-        Stage::Isr,
-        Stage::HostDeliver,
-    ] {
-        assert!(
-            tracer.events().iter().any(|e| e.stage == stage),
-            "missing {stage:?} in driver trace"
-        );
-    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Local CI gate: formatting, lints-as-errors, docs-as-errors, full test
-# suite, example smoke-runs, and a check that report_output.txt is current.
+# suite, example smoke-runs, and a check that report_output.txt and
+# report_views.txt are current.
 # Run from the repository root before pushing.
 set -eu
 
@@ -150,5 +151,31 @@ cmp -s report_output.fresh.txt report_output.txt || {
     echo "report output changed; regenerate report_output.txt deliberately" >&2
     exit 1; }
 rm -f report_output.fresh.txt
+
+echo "==> report_views.txt matches fresh renderings of every report view"
+# One section per id/view pair `report list` prints (the full JSONL
+# traces pinned by cksum), then a sampled trace and a self-diff.
+report="cargo run -q -p hni-bench --bin report --release --"
+{
+    $report list | while read -r id caps; do
+        for view in $(echo "$caps" | tr -d '[]'); do
+            echo "### report $view $id"
+            if [ "$view" = trace ]; then
+                $report trace "$id" | cksum
+            else
+                $report "$view" "$id"
+            fi
+        done
+    done
+    echo "### report trace r-f1 --sample 1024 --seed 7"
+    $report trace r-f1 --sample 1024 --seed 7
+    echo "### report diff r-f3 r-f3"
+    $report diff r-f3 r-f3
+} > report_views.fresh.txt
+cmp -s report_views.fresh.txt report_views.txt || {
+    rm -f report_views.fresh.txt
+    echo "report views changed; regenerate report_views.txt deliberately" >&2
+    exit 1; }
+rm -f report_views.fresh.txt
 
 echo "CI OK"

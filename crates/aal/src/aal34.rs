@@ -546,18 +546,34 @@ impl Aal34Reassembler {
             .collect();
         expired
             .into_iter()
-            .map(|key| {
-                let f = self.frames.remove(key).expect("key from iteration");
-                self.failed += 1;
-                let (vc, mid) = stream_unkey(key);
-                ReassemblyFailure {
-                    vc,
-                    mid,
-                    error: ReassemblyError::Timeout,
-                    discarded_octets: f.buf.len(),
-                }
+            .filter_map(|key| self.drop_frame(key, ReassemblyError::Timeout))
+            .collect()
+    }
+
+    /// Abandon every in-progress frame on `vc`, whatever its MID — the
+    /// connection is closing, and its cells must not be glued onto the
+    /// first frames of whatever connection reuses the VC next. Returns
+    /// one failure report per frame, in MID order.
+    pub fn abandon(&mut self, vc: VcId) -> Vec<ReassemblyFailure> {
+        (0..MID_VALUES)
+            .filter_map(|mid| {
+                self.drop_frame(stream_key(vc, mid), ReassemblyError::ConnectionClosed)
             })
             .collect()
+    }
+
+    /// Remove the frame under `key`, if any, and count it failed with
+    /// `error`.
+    fn drop_frame(&mut self, key: u64, error: ReassemblyError) -> Option<ReassemblyFailure> {
+        let f = self.frames.remove(key)?;
+        self.failed += 1;
+        let (vc, mid) = stream_unkey(key);
+        Some(ReassemblyFailure {
+            vc,
+            mid,
+            error,
+            discarded_octets: f.buf.len(),
+        })
     }
 }
 

@@ -340,6 +340,22 @@ impl Aal5Reassembler {
         }
     }
 
+    /// Abandon `vc`'s in-progress frame, if any — the connection is
+    /// closing, and its cells must not be glued onto the first frame of
+    /// whatever connection reuses the VC next.
+    pub fn abandon(&mut self, vc: VcId) -> Option<ReassemblyFailure> {
+        let s = self.vcs.remove(vc.cam_key() as u64)?;
+        self.failed += 1;
+        let discarded = s.buf.len();
+        self.stash(s.buf);
+        Some(ReassemblyFailure {
+            vc,
+            mid: 0,
+            error: ReassemblyError::ConnectionClosed,
+            discarded_octets: discarded,
+        })
+    }
+
     /// Abandon every frame whose first cell arrived more than the timeout
     /// ago. Returns one failure report per abandoned frame.
     pub fn expire(&mut self, now: Time) -> Vec<ReassemblyFailure> {

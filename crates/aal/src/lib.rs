@@ -29,7 +29,7 @@
 //! Reassembly is per-VC (and per-MID for AAL3/4), with an explicit error
 //! taxonomy ([`ReassemblyError`]) covering every way a frame can die:
 //! CRC failure, length mismatch, sequence gaps, oversize, interleaving
-//! violations, and receiver-driven timeout.
+//! violations, receiver-driven timeout, and connection teardown.
 
 pub mod aal1;
 pub mod aal34;
@@ -116,6 +116,8 @@ pub enum ReassemblyError {
     MalformedCpcs,
     /// The receiver's reassembly timer expired.
     Timeout,
+    /// The connection was closed with the frame still in progress.
+    ConnectionClosed,
 }
 
 impl fmt::Display for ReassemblyError {
@@ -131,6 +133,7 @@ impl fmt::Display for ReassemblyError {
             ReassemblyError::TagMismatch => "BTag/ETag mismatch",
             ReassemblyError::MalformedCpcs => "malformed CPCS envelope",
             ReassemblyError::Timeout => "reassembly timeout",
+            ReassemblyError::ConnectionClosed => "connection closed mid-frame",
         };
         f.write_str(s)
     }

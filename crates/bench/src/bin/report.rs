@@ -32,7 +32,7 @@
 //! check passed, so a regressed run never becomes the new baseline.
 //!
 //! `trace` accepts `--sample <N>` (with optional `--seed <S>`) to thin
-//! the JSONL deterministically — the kept set is a pure function of
+//! the JSONL deterministically (`N >= 1`) — the kept set is a pure function of
 //! each event's (vc, pkt, cell) identity, so it is byte-identical
 //! across reruns and `HNI_JOBS` worker counts.
 //!
@@ -105,6 +105,10 @@ fn main() {
         Some("--trace" | "trace") => {
             let id = capability_id_or_exit(&args, "trace");
             let events = match flag_value::<u64>(&args, "--sample") {
+                Some(0) => {
+                    eprintln!("--sample needs a value >= 1");
+                    std::process::exit(2);
+                }
                 Some(one_in) => {
                     let seed = flag_value::<u64>(&args, "--seed").unwrap_or(0);
                     sampled_trace_experiment(&id, one_in, seed)

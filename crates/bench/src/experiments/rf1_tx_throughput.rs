@@ -7,7 +7,7 @@ use hni_atm::VcId;
 use hni_core::engine::HwPartition;
 use hni_core::txsim::{greedy_workload, run_tx, run_tx_with, TxConfig, TxReport};
 use hni_sonet::LineRate;
-use hni_telemetry::{Profiler, Tracer};
+use hni_telemetry::Observer;
 
 /// Packet sizes swept (octets).
 pub const SIZES: [usize; 7] = [64, 256, 1024, 4096, 9180, 32768, 65000];
@@ -71,12 +71,12 @@ pub fn sweep_with_jobs(packets: usize, jobs: usize) -> Vec<Point> {
 }
 
 /// The canonical steady-state point (paper split, OC-12, 20 ×
-/// 9180-octet packets) run with the given observers — the one run the
+/// 9180-octet packets) run with the given observer — the one run the
 /// `report` trace, metrics, profile, histogram and per-VC views read.
-pub fn canonical(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> TxReport {
+pub fn canonical(obs: &mut Observer) -> TxReport {
     let cfg = TxConfig::paper(LineRate::Oc12);
     let wl = greedy_workload(20, 9180, VcId::new(0, 32));
-    run_tx_with(&cfg, &wl, tracer, profiler).0
+    run_tx_with(&cfg, &wl, obs).0
 }
 
 /// Render the figure as a table.

@@ -8,7 +8,7 @@ use hni_core::rxsim::{run_rx, run_rx_with, RxConfig, RxReport, RxWorkload};
 use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
 use hni_sim::{Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{Profiler, Tracer};
+use hni_telemetry::Observer;
 
 /// Packet sizes swept (octets).
 pub const SIZES: [usize; 5] = [64, 1024, 4096, 9180, 65000];
@@ -57,12 +57,12 @@ pub fn sweep(pkts_per_vc: usize) -> Vec<Point> {
 }
 
 /// The canonical point (paper split, OC-12 full line load, 4 VCs ×
-/// 9180-octet packets) run with the given observers — the one run the
+/// 9180-octet packets) run with the given observer — the one run the
 /// `report` trace, metrics, profile, histogram and per-VC views read.
-pub fn canonical(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> RxReport {
+pub fn canonical(obs: &mut Observer) -> RxReport {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    run_rx_with(&cfg, &wl, &FaultPlan::NONE, 0, tracer, profiler).0
+    run_rx_with(&cfg, &wl, &FaultPlan::NONE, 0, obs).0
 }
 
 /// Host-side comparison: CPU utilization delivering 9180-octet packets

@@ -12,7 +12,7 @@ use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, run_tx, TxConfig, TxPacket};
 use hni_sim::{Duration, FaultPlan};
 use hni_sonet::LineRate;
-use hni_telemetry::{NullProfiler, NullTracer, Profiler, TraceEvent, Tracer, VecTracer};
+use hni_telemetry::{Observer, TraceEvent};
 
 /// Packet sizes swept.
 pub const SIZES: [usize; 5] = [64, 1024, 9180, 32768, 65000];
@@ -25,36 +25,28 @@ pub const TRACE_LEN: usize = 9180;
 /// raw material the waterfall reducer turns back into this experiment's
 /// per-stage breakdown.
 pub fn trace_run(len: usize) -> Vec<TraceEvent> {
-    let mut tracer = VecTracer::new();
-    e2e(
-        &greedy_workload(1, len, VcId::new(0, 32)),
-        &mut tracer,
-        &mut NullProfiler,
-    );
-    tracer.into_events()
+    let mut obs = Observer::tracing();
+    e2e(&greedy_workload(1, len, VcId::new(0, 32)), &mut obs);
+    obs.into_events()
 }
 
 /// The canonical loaded end-to-end run (20 × 9180-octet packets) with
-/// the given observers. Unlike the single-packet trace, a steady-state
+/// the given observer. Unlike the single-packet trace, a steady-state
 /// backlog gives every path resource a meaningful utilization to rank
 /// and a latency tail to attribute; the `report` profile, histogram,
 /// per-VC and tail views all read this run.
-pub fn canonical(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> E2eReport {
-    e2e(
-        &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
-        tracer,
-        profiler,
-    )
+pub fn canonical(obs: &mut Observer) -> E2eReport {
+    e2e(&greedy_workload(20, TRACE_LEN, VcId::new(0, 32)), obs)
 }
 
 /// The paper-split OC-12 path, fault-free, over `packets`.
-fn e2e(packets: &[TxPacket], tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> E2eReport {
+fn e2e(packets: &[TxPacket], obs: &mut Observer) -> E2eReport {
     let (tx, rx) = (
         TxConfig::paper(LineRate::Oc12),
         RxConfig::paper(LineRate::Oc12),
     );
     let none = &FaultPlan::NONE;
-    run_e2e_with(&tx, &rx, packets, PROPAGATION, none, 0, tracer, profiler).0
+    run_e2e_with(&tx, &rx, packets, PROPAGATION, none, 0, obs).0
 }
 
 /// Render the breakdown table.
@@ -119,7 +111,7 @@ pub fn run() -> String {
     // Percentile waterfall of the loaded canonical run: the unloaded
     // table above shows means; under a 20-packet backlog the tail is
     // the story, and the always-on histograms have it for free.
-    let loaded = canonical(&mut NullTracer, &mut NullProfiler);
+    let loaded = canonical(&mut Observer::default());
     let mut w = Table::new([
         "loaded latency",
         "n",

@@ -28,7 +28,7 @@ use hni_core::rxsim::{run_rx_with, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, run_tx_with, TxConfig};
 use hni_sim::FaultPlan;
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute, Attribution, Component, CycleProfiler, NullTracer};
+use hni_telemetry::{attribute, Attribution, Component, Observer};
 
 /// Engine speeds swept on the receive side (same grid as R-A2).
 pub const MIPS_GRID: [f64; 6] = [12.5, 25.0, 50.0, 100.0, 200.0, 400.0];
@@ -49,10 +49,10 @@ pub fn resource_name(c: Component) -> &'static str {
 /// `packets` × `len`-octet packets) and attribute its bottleneck.
 pub fn tx_attribution(len: usize, packets: usize) -> Attribution {
     let cfg = TxConfig::paper(LineRate::Oc12);
-    let mut prof = CycleProfiler::new();
+    let mut obs = Observer::profiling();
     let wl = greedy_workload(packets, len, VcId::new(0, 32));
-    let (r, _) = run_tx_with(&cfg, &wl, &mut NullTracer, &mut prof);
-    attribute(&prof.snapshot(r.finished_at), r.goodput_bps)
+    let (r, _) = run_tx_with(&cfg, &wl, &mut obs);
+    attribute(&obs.snapshot(r.finished_at), r.goodput_bps)
 }
 
 /// Profile one receive run at OC-12 line load (4 VCs × `pkts_per_vc`
@@ -67,9 +67,9 @@ pub fn rx_attribution(
     cfg.partition = *partition;
     cfg.mips = mips;
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, pkts_per_vc, len, 1.0);
-    let mut prof = CycleProfiler::new();
-    let (r, _, _) = run_rx_with(&cfg, &wl, &FaultPlan::NONE, 0, &mut NullTracer, &mut prof);
-    attribute(&prof.snapshot(r.run_end), r.goodput_bps)
+    let mut obs = Observer::profiling();
+    let (r, _, _) = run_rx_with(&cfg, &wl, &FaultPlan::NONE, 0, &mut obs);
+    attribute(&obs.snapshot(r.run_end), r.goodput_bps)
 }
 
 /// One transmit sweep point: measured attribution vs analytic verdict.

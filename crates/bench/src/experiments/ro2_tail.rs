@@ -30,7 +30,7 @@ use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, TxConfig, TxPacket};
 use hni_sim::{BusFaultPlan, Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute_tail, NullProfiler, PacketSpans, TailAttribution, VecTracer};
+use hni_telemetry::{attribute_tail, Observer, PacketSpans, TailAttribution};
 
 /// Packets offered (same size as the R-F3 canonical point).
 pub const PACKETS: usize = 20;
@@ -94,7 +94,7 @@ pub struct DmaStats {
 pub fn attribution_with(plan: BusFaultPlan) -> (Option<TailAttribution>, DmaStats) {
     let mut rx = RxConfig::paper(LineRate::Oc12);
     rx.bus_faults = plan;
-    let mut tracer = VecTracer::new();
+    let mut obs = Observer::tracing();
     run_e2e_with(
         &TxConfig::paper(LineRate::Oc12),
         &rx,
@@ -102,10 +102,9 @@ pub fn attribution_with(plan: BusFaultPlan) -> (Option<TailAttribution>, DmaStat
         PROPAGATION,
         &FaultPlan::NONE,
         0,
-        &mut tracer,
-        &mut NullProfiler,
+        &mut obs,
     );
-    let spans = PacketSpans::from_events(&tracer.into_events());
+    let spans = PacketSpans::from_events(obs.events());
     let attr = attribute_tail(&spans);
     (attr, dma_stats(&spans))
 }

@@ -23,7 +23,7 @@ use hni_core::rxsim::{run_rx_with, CellArrival, RxConfig, RxPktMeta, RxWorkload}
 use hni_core::DiscardPolicy;
 use hni_sim::{Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{NullProfiler, NullTracer};
+use hni_telemetry::Observer;
 
 /// Link cell-loss rates swept. 0.2% already dooms ~32% of 192-cell
 /// frames on survival alone — past that every policy starves.
@@ -122,7 +122,7 @@ pub fn measure(loss: f64, n_vcs: usize, pkts_per_vc: usize) -> Point {
     };
     let run = |policy: DiscardPolicy| {
         let cfg = cfg_with(policy);
-        let (r, _, _) = run_rx_with(&cfg, &wl, &plan, SEED, &mut NullTracer, &mut NullProfiler);
+        let (r, _, _) = run_rx_with(&cfg, &wl, &plan, SEED, &mut Observer::default());
         debug_assert!(r.ledger.reconciles(), "{:?}", r.ledger);
         r.goodput_bps
     };

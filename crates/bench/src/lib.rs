@@ -20,10 +20,7 @@ pub use table::Table;
 
 use experiments::*;
 use hni_core::E2eReport;
-use hni_telemetry::{
-    CycleProfiler, HdrHist, NullProfiler, NullTracer, Profile, Profiler, TraceEvent, Tracer,
-    VcMetrics, VecTracer,
-};
+use hni_telemetry::{HdrHist, Observer, Profile, TraceEvent, VcMetrics};
 
 /// A run's report together with the event trace of the same run.
 pub type Traced<R> = (R, Vec<TraceEvent>);
@@ -94,19 +91,6 @@ impl Experiment {
     }
 }
 
-/// Run a canonical run with no observers attached.
-fn unobserved<R>(canonical: fn(&mut dyn Tracer, &mut dyn Profiler) -> R) -> R {
-    canonical(&mut NullTracer, &mut NullProfiler)
-}
-
-/// Run a canonical run under a [`VecTracer`]; return its report and the
-/// captured events.
-fn traced<R>(canonical: fn(&mut dyn Tracer, &mut dyn Profiler) -> R) -> Traced<R> {
-    let mut tracer = VecTracer::new();
-    let r = canonical(&mut tracer, &mut NullProfiler);
-    (r, tracer.into_events())
-}
-
 /// Every experiment, in report order.
 pub static EXPERIMENTS: [Experiment; 20] = [
     Experiment::report_only("r-t1", rt1_budget::run),
@@ -115,41 +99,49 @@ pub static EXPERIMENTS: [Experiment; 20] = [
     Experiment::report_only("r-t4", rt4_pacing::run),
     Experiment::report_only("r-t5", rt5_overhead::run),
     Experiment {
-        trace: Some(|| traced(rf1_tx_throughput::canonical).1),
+        trace: Some(|| {
+            let mut obs = Observer::tracing();
+            rf1_tx_throughput::canonical(&mut obs);
+            obs.into_events()
+        }),
         profile: Some(|| {
-            let mut prof = CycleProfiler::new();
-            let r = rf1_tx_throughput::canonical(&mut NullTracer, &mut prof);
-            (prof.snapshot(r.finished_at), r.goodput_bps)
+            let mut obs = Observer::profiling();
+            let r = rf1_tx_throughput::canonical(&mut obs);
+            (obs.snapshot(r.finished_at), r.goodput_bps)
         }),
         hist: Some(|| {
-            let r = unobserved(rf1_tx_throughput::canonical);
+            let r = rf1_tx_throughput::canonical(&mut Observer::default());
             (
                 "R-F1 canonical transmit run (descriptor -> last cell on line)",
                 vec![("tx", r.latency_hist)],
             )
         }),
         topvc: Some(|| {
-            let r = unobserved(rf1_tx_throughput::canonical);
+            let r = rf1_tx_throughput::canonical(&mut Observer::default());
             ("R-F1 canonical transmit run", r.vc_cells)
         }),
         ..Experiment::report_only("r-f1", rf1_tx_throughput::run)
     },
     Experiment {
-        trace: Some(|| traced(rf2_rx_throughput::canonical).1),
+        trace: Some(|| {
+            let mut obs = Observer::tracing();
+            rf2_rx_throughput::canonical(&mut obs);
+            obs.into_events()
+        }),
         profile: Some(|| {
-            let mut prof = CycleProfiler::new();
-            let r = rf2_rx_throughput::canonical(&mut NullTracer, &mut prof);
-            (prof.snapshot(r.run_end), r.goodput_bps)
+            let mut obs = Observer::profiling();
+            let r = rf2_rx_throughput::canonical(&mut obs);
+            (obs.snapshot(r.run_end), r.goodput_bps)
         }),
         hist: Some(|| {
-            let r = unobserved(rf2_rx_throughput::canonical);
+            let r = rf2_rx_throughput::canonical(&mut Observer::default());
             (
                 "R-F2 canonical receive run (first cell -> completion)",
                 vec![("rx", r.latency_hist)],
             )
         }),
         topvc: Some(|| {
-            let r = unobserved(rf2_rx_throughput::canonical);
+            let r = rf2_rx_throughput::canonical(&mut Observer::default());
             ("R-F2 canonical receive run", r.vc_cells)
         }),
         ..Experiment::report_only("r-f2", rf2_rx_throughput::run)
@@ -158,12 +150,12 @@ pub static EXPERIMENTS: [Experiment; 20] = [
         // The unloaded single-packet run: the waterfall's raw material.
         trace: Some(|| rf3_latency::trace_run(rf3_latency::TRACE_LEN)),
         profile: Some(|| {
-            let mut prof = CycleProfiler::new();
-            let r = rf3_latency::canonical(&mut NullTracer, &mut prof);
-            (prof.snapshot(r.rx.run_end), r.goodput_bps)
+            let mut obs = Observer::profiling();
+            let r = rf3_latency::canonical(&mut obs);
+            (obs.snapshot(r.rx.run_end), r.goodput_bps)
         }),
         hist: Some(|| {
-            let r = unobserved(rf3_latency::canonical);
+            let r = rf3_latency::canonical(&mut Observer::default());
             (
                 "R-F3 canonical loaded end-to-end run (descriptor at A -> completion at B)",
                 vec![
@@ -175,13 +167,17 @@ pub static EXPERIMENTS: [Experiment; 20] = [
         }),
         topvc: Some(|| {
             // End-to-end: the receive side saw every surviving cell.
-            let r = unobserved(rf3_latency::canonical);
+            let r = rf3_latency::canonical(&mut Observer::default());
             (
                 "R-F3 canonical end-to-end run (receive side)",
                 r.rx.vc_cells,
             )
         }),
-        tail: Some(|| traced(rf3_latency::canonical)),
+        tail: Some(|| {
+            let mut obs = Observer::tracing();
+            let r = rf3_latency::canonical(&mut obs);
+            (r, obs.into_events())
+        }),
         ..Experiment::report_only("r-f3", rf3_latency::run)
     },
     Experiment::report_only("r-f4", rf4_host_cpu::run),

@@ -23,7 +23,7 @@
 //! approximated by the fine interleaving of cell-scale requests).
 
 use hni_sim::{BusFaultPlan, Duration, Rng, Time};
-use hni_telemetry::{Activity, Component, Profiler};
+use hni_telemetry::{Activity, Component, Observer};
 
 /// Bus timing and width parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -166,67 +166,56 @@ impl Bus {
         (stall, retry)
     }
 
-    fn commit(&mut self, start: Time, held: Duration, bytes: usize) -> Time {
-        self.next_free = start + held;
-        self.busy += held;
-        self.grants += 1;
-        self.bytes_moved += bytes as u64;
-        self.next_free
-    }
-
     /// Request the bus at `now` for a burst of `words` data words
     /// carrying `bytes` payload bytes. Returns when the burst completes
     /// (including any injected stall or retry).
-    pub fn grant(&mut self, now: Time, words: u32, bytes: usize) -> Time {
-        let start = now.max(self.next_free);
-        let (stall, retry) = self.draw_faults();
-        let burst = self.cfg.burst_time(words);
-        let held = stall + burst + if retry { burst } else { Duration::ZERO };
-        self.commit(start, held, bytes)
-    }
-
-    /// [`Bus::grant`] with cycle accounting: the burst's setup and
-    /// turnaround cycles are charged as [`Activity::Arbitration`] and
-    /// its data cycles as [`Activity::Transfer`] on `component`
-    /// (`TxBus` or `RxBus`, since each adaptor has its own channel).
-    /// Charges start when the burst actually begins — after any FCFS
-    /// queueing delay — so bus charges never overlap.
-    pub fn grant_profiled(
+    ///
+    /// When `obs` is profiling, the burst's setup and turnaround cycles
+    /// are charged as [`Activity::Arbitration`] and its data cycles as
+    /// [`Activity::Transfer`] on `component` (`TxBus` or `RxBus`, since
+    /// each adaptor has its own channel); an injected stall is
+    /// arbitration the burst lost. Charges start when the burst actually
+    /// begins — after any FCFS queueing delay — so bus charges never
+    /// overlap.
+    pub fn grant(
         &mut self,
         now: Time,
         words: u32,
         bytes: usize,
         component: Component,
-        profiler: &mut dyn Profiler,
+        obs: &mut Observer,
     ) -> Time {
-        if !profiler.enabled() {
-            return self.grant(now, words, bytes);
-        }
         let start = now.max(self.next_free);
         let (stall, retry) = self.draw_faults();
-        let cycle = self.cfg.cycle();
-        let setup = cycle.times(self.cfg.burst_setup_cycles as u64);
-        let data = cycle.times(words as u64);
-        let turnaround = cycle.times(self.cfg.turnaround_cycles as u64);
-        let mut cursor = start;
-        if stall > Duration::ZERO {
-            // An injected stall is arbitration the burst lost.
-            profiler.charge(component, Activity::Arbitration, cursor, stall);
-            cursor += stall;
+        let burst = self.cfg.burst_time(words);
+        let held = stall + burst + if retry { burst } else { Duration::ZERO };
+        if obs.is_profiling() {
+            let cycle = self.cfg.cycle();
+            let setup = cycle.times(self.cfg.burst_setup_cycles as u64);
+            let data = cycle.times(words as u64);
+            let turnaround = burst - setup - data;
+            let mut cursor = start;
+            if stall > Duration::ZERO {
+                obs.charge(component, Activity::Arbitration, cursor, stall);
+                cursor += stall;
+            }
+            for _ in 0..if retry { 2 } else { 1 } {
+                obs.charge(component, Activity::Arbitration, cursor, setup);
+                obs.charge(component, Activity::Transfer, cursor + setup, data);
+                obs.charge(
+                    component,
+                    Activity::Arbitration,
+                    cursor + setup + data,
+                    turnaround,
+                );
+                cursor += burst;
+            }
         }
-        for _ in 0..if retry { 2 } else { 1 } {
-            profiler.charge(component, Activity::Arbitration, cursor, setup);
-            profiler.charge(component, Activity::Transfer, cursor + setup, data);
-            profiler.charge(
-                component,
-                Activity::Arbitration,
-                cursor + setup + data,
-                turnaround,
-            );
-            cursor += setup + data + turnaround;
-        }
-        let held = cursor.saturating_since(start);
-        self.commit(start, held, bytes)
+        self.next_free = start + held;
+        self.busy += held;
+        self.grants += 1;
+        self.bytes_moved += bytes as u64;
+        self.next_free
     }
 
     /// Earliest instant a new request could start.
@@ -271,6 +260,18 @@ impl Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hni_telemetry::CycleProfiler;
+
+    /// An unobserved grant.
+    fn grant(bus: &mut Bus, now: Time, words: u32, bytes: usize) -> Time {
+        bus.grant(
+            now,
+            words,
+            bytes,
+            Component::TxBus,
+            &mut Observer::default(),
+        )
+    }
 
     #[test]
     fn peak_bandwidth() {
@@ -334,8 +335,8 @@ mod tests {
     #[test]
     fn bus_serializes_fcfs() {
         let mut bus = Bus::new(BusConfig::default());
-        let end1 = bus.grant(Time::ZERO, 8, 32); // 600 ns
-        let end2 = bus.grant(Time::ZERO, 8, 32); // queued behind
+        let end1 = grant(&mut bus, Time::ZERO, 8, 32); // 600 ns
+        let end2 = grant(&mut bus, Time::ZERO, 8, 32); // queued behind
         assert_eq!(end1, Time::from_ns(600));
         assert_eq!(end2, Time::from_ns(1200));
         assert_eq!(bus.grants(), 2);
@@ -345,16 +346,14 @@ mod tests {
 
     #[test]
     fn profiled_grant_matches_plain_and_splits_overhead() {
-        use hni_telemetry::{CycleProfiler, NullProfiler};
-
         let mut plain = Bus::new(BusConfig::default());
         let mut profiled = Bus::new(BusConfig::default());
-        let mut prof = CycleProfiler::new();
-        let e1 = plain.grant(Time::ZERO, 8, 32);
-        let e2 = profiled.grant_profiled(Time::ZERO, 8, 32, Component::TxBus, &mut prof);
+        let mut obs = Observer::profiling();
+        let e1 = grant(&mut plain, Time::ZERO, 8, 32);
+        let e2 = profiled.grant(Time::ZERO, 8, 32, Component::TxBus, &mut obs);
         assert_eq!(e1, e2);
         assert_eq!(plain.busy_time(), profiled.busy_time());
-        let p = prof.snapshot(e2);
+        let p = obs.snapshot(e2);
         // 8 data cycles × 40 ns, 7 overhead cycles × 40 ns.
         assert_eq!(
             p.total(Component::TxBus, Activity::Transfer),
@@ -366,24 +365,17 @@ mod tests {
         );
         // Transfer + arbitration account for the whole grant.
         assert_eq!(p.active_time(Component::TxBus), profiled.busy_time());
-
-        // With the NullProfiler the call degenerates to grant().
-        let mut off = Bus::new(BusConfig::default());
-        let e3 = off.grant_profiled(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
-        assert_eq!(e3, e1);
     }
 
     #[test]
     fn profiled_grant_charges_from_queued_start() {
-        use hni_telemetry::CycleProfiler;
-
         let mut bus = Bus::new(BusConfig::default());
-        let mut prof = CycleProfiler::with_window(Duration::from_ns(600));
-        bus.grant_profiled(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
+        let mut obs = Observer::profiling_with(CycleProfiler::with_window(Duration::from_ns(600)));
+        bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut obs);
         // Requested at 0 but queued behind the first burst: charges must
         // land in [600, 1200) ns, i.e. the second 600 ns window.
-        bus.grant_profiled(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
-        let p = prof.snapshot(Time::from_ns(1200));
+        bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut obs);
+        let p = obs.snapshot(Time::from_ns(1200));
         let s = p.series(Component::RxBus);
         assert_eq!(s.busy(0), Duration::from_ns(600));
         assert_eq!(s.busy(1), Duration::from_ns(600));
@@ -393,7 +385,7 @@ mod tests {
     fn fault_free_bus_draws_no_randomness() {
         let mut bus = Bus::new(BusConfig::default());
         for _ in 0..1000 {
-            bus.grant(Time::ZERO, 8, 32);
+            grant(&mut bus, Time::ZERO, 8, 32);
         }
         assert_eq!(bus.fault_rng_draws(), 0);
         assert_eq!(bus.stalls() + bus.retries(), 0);
@@ -404,8 +396,8 @@ mod tests {
         let mut plain = Bus::new(BusConfig::default());
         let mut faulty = Bus::with_faults(BusConfig::default(), BusFaultPlan::NONE);
         for i in 0..100u64 {
-            let a = plain.grant(Time::from_ns(i * 50), 8, 32);
-            let b = faulty.grant(Time::from_ns(i * 50), 8, 32);
+            let a = grant(&mut plain, Time::from_ns(i * 50), 8, 32);
+            let b = grant(&mut faulty, Time::from_ns(i * 50), 8, 32);
             assert_eq!(a, b);
         }
         assert_eq!(plain.busy_time(), faulty.busy_time());
@@ -421,7 +413,7 @@ mod tests {
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
         // 15 burst cycles + 10 stall cycles = 25 × 40 ns.
-        let end = bus.grant(Time::ZERO, 8, 32);
+        let end = grant(&mut bus, Time::ZERO, 8, 32);
         assert_eq!(end, Time::from_ns(1000));
         assert_eq!(bus.stalls(), 1);
     }
@@ -435,7 +427,7 @@ mod tests {
             seed: 5,
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
-        let end = bus.grant(Time::ZERO, 8, 32);
+        let end = grant(&mut bus, Time::ZERO, 8, 32);
         assert_eq!(end, Time::from_ns(1200), "burst runs twice");
         assert_eq!(bus.retries(), 1);
         assert_eq!(bus.busy_time(), Duration::from_ns(1200));
@@ -443,7 +435,6 @@ mod tests {
 
     #[test]
     fn faulty_grants_deterministic_and_profiled_matches_plain() {
-        use hni_telemetry::CycleProfiler;
         let plan = BusFaultPlan {
             stall_probability: 0.3,
             stall_cycles: 6,
@@ -452,21 +443,13 @@ mod tests {
         };
         let run = |profiled: bool| {
             let mut bus = Bus::with_faults(BusConfig::default(), plan);
-            let mut prof = CycleProfiler::new();
+            let mut obs = if profiled {
+                Observer::profiling()
+            } else {
+                Observer::default()
+            };
             (0..200u64)
-                .map(|i| {
-                    if profiled {
-                        bus.grant_profiled(
-                            Time::from_ns(i * 2000),
-                            8,
-                            32,
-                            Component::RxBus,
-                            &mut prof,
-                        )
-                    } else {
-                        bus.grant(Time::from_ns(i * 2000), 8, 32)
-                    }
-                })
+                .map(|i| bus.grant(Time::from_ns(i * 2000), 8, 32, Component::RxBus, &mut obs))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(false), run(false), "not deterministic");
@@ -476,7 +459,6 @@ mod tests {
 
     #[test]
     fn profiled_fault_charges_cover_the_whole_grant() {
-        use hni_telemetry::CycleProfiler;
         let plan = BusFaultPlan {
             stall_probability: 1.0,
             stall_cycles: 10,
@@ -484,9 +466,9 @@ mod tests {
             seed: 9,
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
-        let mut prof = CycleProfiler::new();
-        let end = bus.grant_profiled(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
-        let p = prof.snapshot(end);
+        let mut obs = Observer::profiling();
+        let end = bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut obs);
+        let p = obs.snapshot(end);
         assert_eq!(p.active_time(Component::RxBus), bus.busy_time());
         // Two data phases of 8 cycles each.
         assert_eq!(
@@ -498,8 +480,8 @@ mod tests {
     #[test]
     fn idle_gap_not_counted_busy() {
         let mut bus = Bus::new(BusConfig::default());
-        bus.grant(Time::ZERO, 8, 32);
-        bus.grant(Time::from_us(10), 8, 32);
+        grant(&mut bus, Time::ZERO, 8, 32);
+        grant(&mut bus, Time::from_us(10), 8, 32);
         assert_eq!(bus.busy_time(), Duration::from_ns(1200));
         let util = bus.utilization(Time::from_us(10) + Duration::from_ns(600));
         assert!((util - 1200.0 / 10_600.0).abs() < 1e-9);

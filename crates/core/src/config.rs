@@ -1,17 +1,16 @@
-//! The single configuration type the whole interface hangs off.
+//! The functional interface's configuration type.
 
-use crate::bufpool::{DiscardPolicy, PoolConfig};
+use crate::bufpool::PoolConfig;
 use crate::bus::BusConfig;
 use crate::engine::HwPartition;
-use crate::rxsim::RxConfig;
-use crate::txsim::TxConfig;
 use hni_aal::AalType;
-use hni_sim::{BusFaultPlan, Duration};
+use hni_sim::Duration;
 use hni_sonet::LineRate;
 
-/// Full host-interface configuration: one struct feeds the timing
-/// simulations ([`crate::txsim`], [`crate::rxsim`]) and the functional
-/// data path ([`crate::nic`]).
+/// Full host-interface configuration of the functional data path
+/// ([`crate::nic`]). The timing simulations take their own
+/// [`TxConfig`](crate::txsim::TxConfig) /
+/// [`RxConfig`](crate::rxsim::RxConfig).
 #[derive(Clone, Debug)]
 pub struct NicConfig {
     /// SONET line rate.
@@ -78,35 +77,6 @@ impl NicConfig {
             ..Self::paper(rate)
         }
     }
-
-    /// Derive the transmit-simulation view of this configuration.
-    pub fn tx_config(&self) -> TxConfig {
-        TxConfig {
-            rate: self.rate,
-            mips: self.mips,
-            partition: self.partition,
-            bus: self.bus,
-            fifo_cells: self.tx_fifo_cells,
-            pacing: self.pacing,
-            aal: self.aal,
-        }
-    }
-
-    /// Derive the receive-simulation view of this configuration.
-    pub fn rx_config(&self) -> RxConfig {
-        RxConfig {
-            rate: self.rate,
-            mips: self.mips,
-            partition: self.partition,
-            bus: self.bus,
-            fifo_cells: self.rx_fifo_cells,
-            pool: self.pool,
-            aal: self.aal,
-            policy: DiscardPolicy::DropTail,
-            reassembly_timeout: self.reassembly_timeout,
-            bus_faults: BusFaultPlan::NONE,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,13 +92,5 @@ mod tests {
         assert_eq!(p.cam_capacity, h.cam_capacity);
         assert_ne!(p.partition, s.partition);
         assert_ne!(p.partition, h.partition);
-    }
-
-    #[test]
-    fn derived_views_carry_fields() {
-        let c = NicConfig::paper(LineRate::Oc3);
-        assert_eq!(c.tx_config().fifo_cells, c.tx_fifo_cells);
-        assert_eq!(c.rx_config().pool, c.pool);
-        assert_eq!(c.tx_config().rate, LineRate::Oc3);
     }
 }

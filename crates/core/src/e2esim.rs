@@ -17,7 +17,7 @@ use crate::rxsim::{run_rx_with, CellArrival, LinkFaults, RxConfig, RxPktMeta, Rx
 use crate::txsim::{run_tx_with, TxConfig, TxPacket};
 use hni_aal::AalType;
 use hni_sim::{Duration, FaultPlan, Summary, Time};
-use hni_telemetry::{HdrHist, NullProfiler, NullTracer, Profiler, TailReservoir, Tracer};
+use hni_telemetry::{HdrHist, Observer, TailReservoir};
 
 /// End-to-end results.
 #[derive(Clone, Debug)]
@@ -71,12 +71,11 @@ pub fn run_e2e_faulted(
         propagation,
         plan,
         seed,
-        &mut NullTracer,
-        &mut NullProfiler,
+        &mut Observer::default(),
     )
 }
 
-/// [`run_e2e`] behind a seeded link [`FaultPlan`] and with observers
+/// [`run_e2e`] behind a seeded link [`FaultPlan`] and with an observer
 /// attached.
 ///
 /// The transmit pipeline's actual departures pass through the fault
@@ -86,14 +85,13 @@ pub fn run_e2e_faulted(
 /// the whole path. `FaultPlan::NONE` reproduces [`run_e2e`] exactly —
 /// byte-identical reports, zero RNG draws.
 ///
-/// `tracer` observes both pipeline halves on one shared timeline:
+/// `obs` observes both pipeline halves on one shared timeline:
 /// receive-side events carry wire-arrival clocks, so a single trace
 /// stream spans descriptor fetch at A through completion at B (the
-/// R-F3 waterfall's raw material). `profiler` charges both halves onto
-/// one shared clock — the transmit adaptor's resources as `tx.*`, the
+/// R-F3 waterfall's raw material), and profiling charges both halves
+/// onto one shared clock — the transmit adaptor's resources as `tx.*`, the
 /// receive adaptor's as `rx.*` — so a single profile ranks every path
 /// resource against the others (the bottleneck table R-O1 uses).
-#[allow(clippy::too_many_arguments)]
 pub fn run_e2e_with(
     tx_cfg: &TxConfig,
     rx_cfg: &RxConfig,
@@ -101,16 +99,15 @@ pub fn run_e2e_with(
     propagation: Duration,
     plan: &FaultPlan,
     seed: u64,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
+    obs: &mut Observer,
 ) -> (E2eReport, LinkFaults) {
     assert_eq!(
         tx_cfg.aal, rx_cfg.aal,
         "both ends must speak the same adaptation layer"
     );
-    let (tx_report, departures) = run_tx_with(tx_cfg, packets, tracer, profiler);
+    let (tx_report, departures) = run_tx_with(tx_cfg, packets, obs);
     let wl = rx_workload_from_departures(tx_cfg.aal, packets, &departures, propagation);
-    let (rx_report, completions, lf) = run_rx_with(rx_cfg, &wl, plan, seed, tracer, profiler);
+    let (rx_report, completions, lf) = run_rx_with(rx_cfg, &wl, plan, seed, obs);
     (
         assemble_report(packets, tx_report, rx_report, &completions),
         lf,

@@ -141,16 +141,6 @@ impl TaskKind {
         }
     }
 
-    /// The profiler component this task's engine time is charged to:
-    /// the transmit or receive protocol engine.
-    pub fn profile_component(self) -> hni_telemetry::Component {
-        if self.is_tx() {
-            hni_telemetry::Component::TxEngine
-        } else {
-            hni_telemetry::Component::RxEngine
-        }
-    }
-
     /// Short human-readable label for tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -527,19 +517,6 @@ mod tests {
                     | TaskKind::RxCellCrc
             );
             assert_eq!(t.trace_stage().is_none(), bundled, "{t:?}");
-        }
-    }
-
-    #[test]
-    fn profile_component_follows_direction() {
-        use hni_telemetry::Component;
-        for t in TaskKind::ALL {
-            let expect = if t.is_tx() {
-                Component::TxEngine
-            } else {
-                Component::RxEngine
-            };
-            assert_eq!(t.profile_component(), expect, "{t:?}");
         }
     }
 

@@ -18,13 +18,15 @@
 //!   driving `hni-aal` + `hni-sonet` end to end. The integration tests
 //!   and examples run packets through two of these back-to-back.
 //!
-//! One configuration type ([`config::NicConfig`]) feeds both.
+//! The data path is configured by [`config::NicConfig`]; the timing
+//! simulations take their own [`TxConfig`] / [`RxConfig`] and report
+//! into one [`hni_telemetry::Observer`]. The host-side driver model
+//! the reports use lives in `hni-host`.
 
 pub mod bufpool;
 pub mod bus;
 pub mod cam;
 pub mod config;
-pub mod driver;
 pub mod e2esim;
 pub mod engine;
 pub mod nic;
@@ -35,7 +37,6 @@ pub use bufpool::{BufferPool, DiscardPolicy, PoolConfig, PoolError};
 pub use bus::{Bus, BusConfig};
 pub use cam::{Cam, CamResult};
 pub use config::NicConfig;
-pub use driver::{DriverConfig, DriverError, HostDriver, RxPacket};
 pub use e2esim::{run_e2e, run_e2e_faulted, run_e2e_with, E2eReport};
 pub use engine::{HwPartition, ProtocolEngine, TaskCosts, TaskKind};
 pub use nic::{Nic, NicEvent};

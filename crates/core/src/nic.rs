@@ -190,8 +190,16 @@ impl Nic {
         Err(NicError::CamFull)
     }
 
-    /// Close a connection.
+    /// Close a connection: removes its CAM entry and abandons its
+    /// in-progress frames in both reassemblers (every AAL3/4 MID), each
+    /// reported as a [`NicEvent::ReceiveError`] with
+    /// [`hni_aal::ReassemblyError::ConnectionClosed`]. A later `open_vc` of the
+    /// same VC therefore starts from clean reassembly state.
     pub fn close_vc(&mut self, vc: VcId) -> bool {
+        let failures = self.reasm5.abandon(vc).into_iter();
+        for f in failures.chain(self.reasm34.abandon(vc)) {
+            self.events.push_back(NicEvent::ReceiveError(f));
+        }
         self.cam.remove(vc)
     }
 
@@ -463,6 +471,7 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hni_aal::ReassemblyError;
     use hni_sonet::LineRate;
 
     fn pair(aal: AalType) -> (Nic, Nic, VcId) {
@@ -717,6 +726,61 @@ mod tests {
         }
         assert_eq!(line_evs, burst_evs);
         assert_eq!(line_rx.sdus_received(), burst_rx.sdus_received());
+    }
+
+    /// Deliver the first five cells of a 1000-octet SDU on `vc` (no
+    /// end-of-SDU cell), close and reopen `vc` at the receiver, then send
+    /// a fresh 300-octet SDU. Returns the receiver's events from the
+    /// close onward.
+    fn reopen_after_partial_frame(aal: AalType) -> Vec<NicEvent> {
+        let (mut a, mut b, vc) = pair(aal);
+        a.open_vc(vc).unwrap();
+        b.open_vc(vc).unwrap();
+        pump(&mut a, &mut b, 12);
+        let stale = vec![0x5Au8; 1000];
+        let cells = match aal {
+            AalType::Aal5 => aal5::segment(vc, &stale, 0),
+            AalType::Aal34 => Aal34Segmenter::new().segment(vc, 0, &stale),
+        };
+        for cell in &cells[..5] {
+            a.inject_cell(cell);
+        }
+        assert!(pump(&mut a, &mut b, 4).is_empty(), "frame still open");
+        assert!(b.close_vc(vc));
+        b.open_vc(vc).unwrap();
+        a.send(vc, vec![0xC3; 300], Time::ZERO).unwrap();
+        let mut evs = Vec::new();
+        while let Some(e) = b.poll() {
+            evs.push(e);
+        }
+        evs.extend(pump(&mut a, &mut b, 4));
+        evs
+    }
+
+    #[test]
+    fn reopened_vc_does_not_inherit_a_stale_partial_frame() {
+        for (aal, per_cell) in [(AalType::Aal5, 48), (AalType::Aal34, 44)] {
+            let evs = reopen_after_partial_frame(aal);
+            let vc = VcId::new(0, 77);
+            assert_eq!(
+                evs,
+                vec![
+                    NicEvent::ReceiveError(ReassemblyFailure {
+                        vc,
+                        mid: 0,
+                        error: ReassemblyError::ConnectionClosed,
+                        discarded_octets: 5 * per_cell,
+                    }),
+                    NicEvent::PacketReceived {
+                        vc,
+                        mid: 0,
+                        data: vec![0xC3; 300],
+                        uu: 0,
+                    },
+                ],
+                "{aal:?}"
+            );
+        }
     }
 
     #[test]

@@ -45,8 +45,7 @@ use hni_aal::AalType;
 use hni_sim::{BusFaultPlan, Duration, EventQueue, FaultInjector, FaultPlan, Summary, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{
-    Activity, Component, HdrHist, NullProfiler, NullTracer, Profiler, Stage, TailReservoir,
-    TraceEvent, Tracer, VcMetrics,
+    Activity, Component, HdrHist, Observer, Stage, TailReservoir, TraceEvent, VcMetrics,
 };
 use std::collections::VecDeque;
 
@@ -441,10 +440,10 @@ struct PktState {
 
 /// Run the receive pipeline over a workload.
 pub fn run_rx(cfg: &RxConfig, wl: &RxWorkload) -> RxReport {
-    run_rx_inner(cfg, wl, &mut None, &mut NullTracer, &mut NullProfiler)
+    run_rx_inner(cfg, wl, &mut None, &mut Observer::default())
 }
 
-/// [`run_rx`] behind a seeded link [`FaultPlan`] and with observers
+/// [`run_rx`] behind a seeded link [`FaultPlan`] and with an observer
 /// attached. Returns the report, each packet's completion time (`None`
 /// for packets that never completed) and what the link did.
 ///
@@ -454,21 +453,20 @@ pub fn run_rx(cfg: &RxConfig, wl: &RxWorkload) -> RxReport {
 /// ([`FaultPlan::NONE`]) skips that pass: no copy of the workload, no
 /// random draws, and a report identical to [`run_rx`]'s.
 ///
-/// `tracer` receives a structured [`TraceEvent`] at every pipeline stage
-/// boundary (cell arrival, FIFO admission/drop, per-cell engine spans,
-/// reassembly appends, validation, delivery DMA, completion).
-/// `profiler` is charged every simulated interval: engine busy time and
-/// stalls (`rx.engine`), delivery-DMA bus cycles (`rx.bus`), arriving
-/// cell slots (`rx.link`), and the input-FIFO and reassembly-pool
-/// occupancy gauges (`rx.fifo`, `rx.pool`). Pass [`NullTracer`] /
-/// [`NullProfiler`] to switch either off.
+/// When `obs` is tracing it receives a structured [`TraceEvent`] at
+/// every pipeline stage boundary (cell arrival, FIFO admission/drop,
+/// per-cell engine spans, reassembly appends, validation, delivery DMA,
+/// completion). When it is profiling it is charged every simulated
+/// interval: engine busy time and stalls (`rx.engine`), delivery-DMA
+/// bus cycles (`rx.bus`), arriving cell slots (`rx.link`), and the
+/// input-FIFO and reassembly-pool occupancy gauges (`rx.fifo`,
+/// `rx.pool`). Pass `Observer::default()` to record nothing.
 pub fn run_rx_with(
     cfg: &RxConfig,
     wl: &RxWorkload,
     plan: &FaultPlan,
     seed: u64,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
+    obs: &mut Observer,
 ) -> (RxReport, Vec<Option<Time>>, LinkFaults) {
     let mut completions = Some(vec![None; wl.pkts.len()]);
     if plan.is_none() {
@@ -477,11 +475,11 @@ pub fn run_rx_with(
             offered: wl.arrivals.len() as u64,
             ..LinkFaults::default()
         };
-        let report = run_rx_inner(cfg, wl, &mut completions, tracer, profiler);
+        let report = run_rx_inner(cfg, wl, &mut completions, obs);
         return (report, completions.expect("completions requested"), lf);
     }
     let (fwl, lf) = apply_faults(wl, plan, cfg.rate.cell_slot_time(), seed);
-    let mut report = run_rx_inner(cfg, &fwl, &mut completions, tracer, profiler);
+    let mut report = run_rx_inner(cfg, &fwl, &mut completions, obs);
     report.ledger.injected += lf.dropped;
     report.ledger.dropped_link = lf.dropped;
     // Packets whose every cell the link swallowed never started at the
@@ -507,8 +505,7 @@ fn run_rx_inner(
     cfg: &RxConfig,
     wl: &RxWorkload,
     completions: &mut Option<Vec<Option<Time>>>,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
+    obs: &mut Observer,
 ) -> RxReport {
     let engine = ProtocolEngine::new(cfg.mips, &cfg.partition);
     let mut bus = Bus::with_faults(cfg.bus, cfg.bus_faults);
@@ -580,8 +577,8 @@ fn run_rx_inner(
             if !engine_busy {
                 // Cells first — an unconsumed cell is a lost cell.
                 let task = if let Some((p, last)) = fifo.pop_front() {
-                    if profiler.enabled() {
-                        profiler.gauge(Component::RxFifo, $now, fifo.len() as u64);
+                    if obs.is_profiling() {
+                        obs.gauge(Component::RxFifo, $now, fifo.len() as u64);
                     }
                     Some(RTask::Cell(p, last))
                 } else {
@@ -596,18 +593,18 @@ fn run_rx_inner(
                         RTask::Complete(_) => engine.task_time(TaskKind::RxPacketComplete),
                     };
                     engine_busy_total += t;
-                    if profiler.enabled() {
+                    if obs.is_profiling() {
                         if let Some((since, cause)) = engine_idle_since.take() {
-                            profiler.charge(
+                            obs.charge(
                                 Component::RxEngine,
                                 cause,
                                 since,
                                 $now.saturating_since(since),
                             );
                         }
-                        profiler.charge(Component::RxEngine, Activity::Busy, $now, t);
+                        obs.charge(Component::RxEngine, Activity::Busy, $now, t);
                     }
-                    if tracer.enabled() {
+                    if obs.is_tracing() {
                         // Open a span for the bundled per-cell work and the
                         // per-packet tasks (closed at EngineDone).
                         let stage = match task {
@@ -621,7 +618,7 @@ fn run_rx_inner(
                             RTask::Burst(_) => None,
                         };
                         if let Some((stage, p)) = stage {
-                            tracer.record(
+                            obs.record(
                                 TraceEvent::enter($now, stage)
                                     .vc(wl.pkts[p].conn as u32)
                                     .pkt(p),
@@ -629,7 +626,7 @@ fn run_rx_inner(
                         }
                     }
                     $q.schedule_in(t, REv::EngineDone(task));
-                } else if profiler.enabled() && engine_idle_since.is_none() {
+                } else if obs.is_profiling() && engine_idle_since.is_none() {
                     // Receive stalls: an outstanding delivery DMA means
                     // the completion is waiting on the bus; otherwise
                     // the engine is simply between arrivals.
@@ -649,8 +646,8 @@ fn run_rx_inner(
     macro_rules! resolve_failed {
         ($now:expr, $p:expr) => {{
             let freed = pool.release_chain($now, $p as u32);
-            if freed > 0 && profiler.enabled() {
-                profiler.gauge(Component::RxPool, $now, pool.in_use() as u64);
+            if freed > 0 && obs.is_profiling() {
+                obs.gauge(Component::RxPool, $now, pool.in_use() as u64);
             }
             let st = &mut pkts[$p];
             st.resolved = true;
@@ -668,14 +665,14 @@ fn run_rx_inner(
                 // Always-on per-VC accounting at the wire (53 octets per
                 // arriving cell); O(K) scan, no allocation, observational.
                 vc_cells.record_cell(conn, 53);
-                if profiler.enabled() {
+                if obs.is_profiling() {
                     // The cell occupied the line for the slot that ended
                     // at its arrival (saturating for an arrival at t=0).
                     let from = Time::from_ps(now.as_ps().saturating_sub(slot.as_ps()));
-                    profiler.charge(Component::RxLink, Activity::Transfer, from, slot);
+                    obs.charge(Component::RxLink, Activity::Transfer, from, slot);
                 }
-                if tracer.enabled() {
-                    tracer.record(
+                if obs.is_tracing() {
+                    obs.record(
                         TraceEvent::instant(now, Stage::RxCellArrive)
                             .vc(conn)
                             .pkt(a.pkt)
@@ -686,8 +683,8 @@ fn run_rx_inner(
                     // Straggler (duplicate or reordered copy arriving
                     // after the frame reached a final disposition).
                     ledger.discarded_stale += 1;
-                    if tracer.enabled() {
-                        tracer.record(
+                    if obs.is_tracing() {
+                        obs.record(
                             TraceEvent::instant(now, Stage::RxStaleDiscard)
                                 .vc(conn)
                                 .pkt(a.pkt)
@@ -720,8 +717,8 @@ fn run_rx_inner(
                                 ledger.discarded_ppd += 1;
                                 Stage::RxPpdDiscard
                             };
-                            if tracer.enabled() {
-                                tracer.record(
+                            if obs.is_tracing() {
+                                obs.record(
                                     TraceEvent::instant(now, stage)
                                         .vc(conn)
                                         .pkt(a.pkt)
@@ -742,8 +739,8 @@ fn run_rx_inner(
                             if fifo.len() >= cfg.fifo_cells {
                                 ledger.dropped_fifo += 1;
                                 pkts[a.pkt].doomed = true;
-                                if tracer.enabled() {
-                                    tracer.record(
+                                if obs.is_tracing() {
+                                    obs.record(
                                         TraceEvent::instant(now, Stage::RxFifoDrop)
                                             .vc(conn)
                                             .pkt(a.pkt)
@@ -753,11 +750,11 @@ fn run_rx_inner(
                             } else {
                                 fifo.push_back((a.pkt, a.is_last));
                                 fifo_peak = fifo_peak.max(fifo.len() as u64);
-                                if profiler.enabled() {
-                                    profiler.gauge(Component::RxFifo, now, fifo.len() as u64);
+                                if obs.is_profiling() {
+                                    obs.gauge(Component::RxFifo, now, fifo.len() as u64);
                                 }
-                                if tracer.enabled() {
-                                    tracer.record(
+                                if obs.is_tracing() {
+                                    obs.record(
                                         TraceEvent::instant(now, Stage::RxFifoEnqueue)
                                             .vc(conn)
                                             .pkt(a.pkt)
@@ -777,15 +774,15 @@ fn run_rx_inner(
                 match task {
                     RTask::Cell(p, is_last) => {
                         let conn = wl.pkts[p].conn as u32;
-                        if tracer.enabled() {
-                            tracer.record(TraceEvent::exit(now, Stage::RxCell).vc(conn).pkt(p));
+                        if obs.is_tracing() {
+                            obs.record(TraceEvent::exit(now, Stage::RxCell).vc(conn).pkt(p));
                         }
                         if pkts[p].resolved {
                             // The frame was resolved while this cell sat
                             // in the FIFO; its chain is gone.
                             ledger.discarded_stale += 1;
-                            if tracer.enabled() {
-                                tracer.record(
+                            if obs.is_tracing() {
+                                obs.record(
                                     TraceEvent::instant(now, Stage::RxStaleDiscard)
                                         .vc(conn)
                                         .pkt(p)
@@ -818,10 +815,10 @@ fn run_rx_inner(
                                     pkts[p].doomed = true;
                                 }
                             }
-                            if profiler.enabled() {
-                                profiler.gauge(Component::RxPool, now, pool.in_use() as u64);
+                            if obs.is_profiling() {
+                                obs.gauge(Component::RxPool, now, pool.in_use() as u64);
                             }
-                            if tracer.enabled() {
+                            if obs.is_tracing() {
                                 let st = &pkts[p];
                                 let (stage, arg) = match result {
                                     Ok(()) => (Stage::RxReasmAppend, st.cells_seen as u64),
@@ -833,7 +830,7 @@ fn run_rx_inner(
                                     }
                                     Err(PoolError::EarlyDiscard) => (Stage::RxEpdDiscard, 1),
                                 };
-                                tracer.record(
+                                obs.record(
                                     TraceEvent::instant(now, stage).vc(conn).pkt(p).arg(arg),
                                 );
                             }
@@ -845,8 +842,8 @@ fn run_rx_inner(
                                     pkts[p].retained = 0;
                                     resolve_failed!(now, p);
                                 } else {
-                                    if tracer.enabled() {
-                                        tracer.record(
+                                    if obs.is_tracing() {
+                                        obs.record(
                                             TraceEvent::instant(now, Stage::RxReasmComplete)
                                                 .vc(conn)
                                                 .pkt(p)
@@ -859,8 +856,8 @@ fn run_rx_inner(
                         }
                     }
                     RTask::Validate(p) => {
-                        if tracer.enabled() {
-                            tracer.record(
+                        if obs.is_tracing() {
+                            obs.record(
                                 TraceEvent::exit(now, Stage::RxValidate)
                                     .vc(wl.pkts[p].conn as u32)
                                     .pkt(p),
@@ -875,8 +872,8 @@ fn run_rx_inner(
                             let retained = pkts[p].retained as u64;
                             ledger.discarded_crc += retained;
                             pkts[p].retained = 0;
-                            if tracer.enabled() {
-                                tracer.record(
+                            if obs.is_tracing() {
+                                obs.record(
                                     TraceEvent::instant(now, Stage::RxValidateFail)
                                         .vc(wl.pkts[p].conn as u32)
                                         .pkt(p)
@@ -891,12 +888,12 @@ fn run_rx_inner(
                             } else if engine.partition.in_hardware(TaskKind::RxDmaBurst) {
                                 st.bursts_issued += 1;
                                 let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), 0);
-                                let done = bus.grant_profiled(
+                                let done = bus.grant(
                                     now,
                                     words,
                                     words as usize * cfg.bus.word_bytes,
                                     Component::RxBus,
-                                    profiler,
+                                    obs,
                                 );
                                 bursts_in_flight += 1;
                                 q.schedule(done, REv::BusDone(p));
@@ -909,22 +906,22 @@ fn run_rx_inner(
                     RTask::Burst(p) => {
                         let bi = pkts[p].bursts_issued - 1;
                         let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), bi);
-                        let done = bus.grant_profiled(
+                        let done = bus.grant(
                             now,
                             words,
                             words as usize * cfg.bus.word_bytes,
                             Component::RxBus,
-                            profiler,
+                            obs,
                         );
                         bursts_in_flight += 1;
                         q.schedule(done, REv::BusDone(p));
                     }
                     RTask::Complete(p) => {
                         let meta = &wl.pkts[p];
-                        if tracer.enabled() {
+                        if obs.is_tracing() {
                             let conn = meta.conn as u32;
-                            tracer.record(TraceEvent::exit(now, Stage::RxComplete).vc(conn).pkt(p));
-                            tracer.record(
+                            obs.record(TraceEvent::exit(now, Stage::RxComplete).vc(conn).pkt(p));
+                            obs.record(
                                 TraceEvent::instant(now, Stage::CompletionPush)
                                     .vc(conn)
                                     .pkt(p)
@@ -932,8 +929,8 @@ fn run_rx_inner(
                             );
                         }
                         pool.release_chain(now, p as u32);
-                        if profiler.enabled() {
-                            profiler.gauge(Component::RxPool, now, pool.in_use() as u64);
+                        if obs.is_profiling() {
+                            obs.gauge(Component::RxPool, now, pool.in_use() as u64);
                         }
                         let st = &mut pkts[p];
                         ledger.delivered_cells += st.retained as u64;
@@ -958,8 +955,8 @@ fn run_rx_inner(
             REv::BusDone(p) => {
                 last_event = now;
                 bursts_in_flight -= 1;
-                if tracer.enabled() {
-                    tracer.record(
+                if obs.is_tracing() {
+                    obs.record(
                         TraceEvent::instant(now, Stage::RxDmaBurst)
                             .vc(wl.pkts[p].conn as u32)
                             .pkt(p)
@@ -972,12 +969,12 @@ fn run_rx_inner(
                     if engine.partition.in_hardware(TaskKind::RxDmaBurst) {
                         let bi = st.bursts_issued - 1;
                         let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), bi);
-                        let done = bus.grant_profiled(
+                        let done = bus.grant(
                             now,
                             words,
                             words as usize * cfg.bus.word_bytes,
                             Component::RxBus,
-                            profiler,
+                            obs,
                         );
                         bursts_in_flight += 1;
                         q.schedule(done, REv::BusDone(p));
@@ -1008,8 +1005,8 @@ fn run_rx_inner(
                     let retained = pkts[p].retained as u64;
                     ledger.discarded_expired += retained;
                     pkts[p].retained = 0;
-                    if tracer.enabled() {
-                        tracer.record(
+                    if obs.is_tracing() {
+                        obs.record(
                             TraceEvent::instant(now, Stage::RxReasmExpire)
                                 .vc(wl.pkts[p].conn as u32)
                                 .pkt(p)
@@ -1273,8 +1270,8 @@ mod tests {
         let plan = FaultPlan::iid(0.005, 1e-5)
             .with_duplication(0.01)
             .with_reorder(0.02, 4);
-        let (r1, _, lf1) = run_rx_with(&cfg, &wl, &plan, 42, &mut NullTracer, &mut NullProfiler);
-        let (r2, _, lf2) = run_rx_with(&cfg, &wl, &plan, 42, &mut NullTracer, &mut NullProfiler);
+        let (r1, _, lf1) = run_rx_with(&cfg, &wl, &plan, 42, &mut Observer::default());
+        let (r2, _, lf2) = run_rx_with(&cfg, &wl, &plan, 42, &mut Observer::default());
         assert_eq!(lf1, lf2);
         assert_eq!(r1.ledger, r2.ledger);
         assert!(lf1.dropped > 0, "0.5% loss over 9216 cells");
@@ -1297,7 +1294,7 @@ mod tests {
         let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 10, 9180, 0.9);
         let plain = run_rx(&cfg, &wl);
         let none = &FaultPlan::NONE;
-        let (faulted, _, lf) = run_rx_with(&cfg, &wl, none, 7, &mut NullTracer, &mut NullProfiler);
+        let (faulted, _, lf) = run_rx_with(&cfg, &wl, none, 7, &mut Observer::default());
         assert_eq!(lf.rng_draws, 0, "empty plan must not touch the RNG");
         assert_eq!(format!("{plain:?}"), format!("{faulted:?}"));
     }

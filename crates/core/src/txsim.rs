@@ -36,8 +36,7 @@ use hni_atm::{Gcra, VcId};
 use hni_sim::{Duration, EventQueue, Summary, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{
-    Activity, Component, HdrHist, NullProfiler, NullTracer, Profiler, Stage, TailReservoir,
-    TraceEvent, Tracer, VcMetrics,
+    Activity, Component, HdrHist, Observer, Stage, TailReservoir, TraceEvent, VcMetrics,
 };
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -192,29 +191,29 @@ pub struct CellDeparture {
 
 /// Run the transmit pipeline over `packets` (need not be sorted).
 pub fn run_tx(cfg: &TxConfig, packets: &[TxPacket]) -> TxReport {
-    run_tx_inner(cfg, packets, &mut None, &mut NullTracer, &mut NullProfiler)
+    run_tx_inner(cfg, packets, &mut None, &mut Observer::default())
 }
 
-/// [`run_tx`] with observers attached, additionally returning every
+/// [`run_tx`] with an observer attached, additionally returning every
 /// cell's departure time — the input the end-to-end composition
 /// ([`crate::e2esim`]) feeds to the receive pipeline.
 ///
-/// `tracer` receives a structured [`TraceEvent`] at every pipeline stage
-/// boundary (descriptor fetch, setup span, DMA bursts, segmentation
-/// spans, FIFO admission, framer hand-off). `profiler` is charged every
-/// simulated interval: engine busy time and its classified stalls
-/// (`tx.engine`), bus data and arbitration cycles (`tx.bus`), framer
-/// cell slots (`tx.link`), and the output-FIFO occupancy gauge
-/// (`tx.fifo`). Pass [`NullTracer`] / [`NullProfiler`] to switch either
-/// off; neither perturbs the simulation.
+/// When `obs` is tracing it receives a structured [`TraceEvent`] at
+/// every pipeline stage boundary (descriptor fetch, setup span, DMA
+/// bursts, segmentation spans, FIFO admission, framer hand-off). When
+/// it is profiling it is charged every simulated interval: engine busy
+/// time and its classified stalls (`tx.engine`), bus data and
+/// arbitration cycles (`tx.bus`), framer cell slots (`tx.link`), and
+/// the output-FIFO occupancy gauge (`tx.fifo`). Pass
+/// `Observer::default()` to record nothing; observation never perturbs
+/// the simulation.
 pub fn run_tx_with(
     cfg: &TxConfig,
     packets: &[TxPacket],
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
+    obs: &mut Observer,
 ) -> (TxReport, Vec<CellDeparture>) {
     let mut departures = Some(Vec::new());
-    let report = run_tx_inner(cfg, packets, &mut departures, tracer, profiler);
+    let report = run_tx_inner(cfg, packets, &mut departures, obs);
     (report, departures.expect("departures requested"))
 }
 
@@ -222,8 +221,7 @@ fn run_tx_inner(
     cfg: &TxConfig,
     packets: &[TxPacket],
     trace: &mut Option<Vec<CellDeparture>>,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
+    obs: &mut Observer,
 ) -> TxReport {
     let engine = ProtocolEngine::new(cfg.mips, &cfg.partition);
     let mut bus = Bus::new(cfg.bus);
@@ -246,7 +244,7 @@ fn run_tx_inner(
     let mut engine_busy = false;
     let mut engine_busy_total = Duration::ZERO;
     // Profiler bookkeeping. `bursts_in_flight` is maintained even with
-    // the profiler off (one integer per burst, no behavioral effect) so
+    // profiling off (one integer per burst, no behavioral effect) so
     // the hot path stays branch-identical; the idle marker only exists
     // while profiling.
     let mut bursts_in_flight: u32 = 0;
@@ -286,18 +284,18 @@ fn run_tx_inner(
                         ETask::Complete(_) => engine.task_time(TaskKind::TxPacketComplete),
                     };
                     engine_busy_total += t;
-                    if profiler.enabled() {
+                    if obs.is_profiling() {
                         if let Some((since, cause)) = engine_idle_since.take() {
-                            profiler.charge(
+                            obs.charge(
                                 Component::TxEngine,
                                 cause,
                                 since,
                                 $now.saturating_since(since),
                             );
                         }
-                        profiler.charge(Component::TxEngine, Activity::Busy, $now, t);
+                        obs.charge(Component::TxEngine, Activity::Busy, $now, t);
                     }
-                    if tracer.enabled() {
+                    if obs.is_tracing() {
                         // Open a span for the engine's per-packet setup and
                         // per-cell segmentation work (closed at EngineDone).
                         let stage = match task {
@@ -311,7 +309,7 @@ fn run_tx_inner(
                         | ETask::Cell(ci)
                         | ETask::Complete(ci)) = task;
                         if let (Some(stage), Some(pkt)) = (stage, ctxs[ci].cur.as_ref()) {
-                            tracer.record(
+                            obs.record(
                                 TraceEvent::enter($now, stage)
                                     .vc(ctxs[ci].vc.cam_key())
                                     .pkt(pkt.idx),
@@ -319,7 +317,7 @@ fn run_tx_inner(
                         }
                     }
                     $q.schedule_in(t, Ev::EngineDone(task));
-                } else if profiler.enabled() && engine_idle_since.is_none() {
+                } else if obs.is_profiling() && engine_idle_since.is_none() {
                     // The engine goes idle here; classify the cause at
                     // the moment the stall begins. Outstanding DMA means
                     // the next cell is waiting on the bus; a cell parked
@@ -354,8 +352,8 @@ fn run_tx_inner(
         match ev {
             Ev::Arrive(i) => {
                 let p = &packets[i];
-                if tracer.enabled() {
-                    tracer.record(
+                if obs.is_tracing() {
+                    obs.record(
                         TraceEvent::instant(now, Stage::TxDescriptor)
                             .vc(p.vc.cam_key())
                             .pkt(i),
@@ -388,10 +386,10 @@ fn run_tx_inner(
                 engine_busy = false;
                 match task {
                     ETask::Setup(ci) => {
-                        if tracer.enabled() {
+                        if obs.is_tracing() {
                             let c = &ctxs[ci];
                             let idx = c.cur.as_ref().expect("setup without packet").idx;
-                            tracer.record(
+                            obs.record(
                                 TraceEvent::exit(now, Stage::TxSetup)
                                     .vc(c.vc.cam_key())
                                     .pkt(idx),
@@ -411,7 +409,7 @@ fn run_tx_inner(
                                 &mut bus,
                                 now,
                                 &mut q,
-                                profiler,
+                                obs,
                                 &mut bursts_in_flight,
                             );
                         }
@@ -425,8 +423,7 @@ fn run_tx_inner(
                             (words as usize * cfg.bus.word_bytes).min(pkt.len.saturating_sub(
                                 bi as usize * cfg.bus.max_burst_words as usize * cfg.bus.word_bytes,
                             ));
-                        let done =
-                            bus.grant_profiled(now, words, bytes, Component::TxBus, profiler);
+                        let done = bus.grant(now, words, bytes, Component::TxBus, obs);
                         bursts_in_flight += 1;
                         q.schedule(done, Ev::BurstDone(ci));
                     }
@@ -434,10 +431,10 @@ fn run_tx_inner(
                         let pkt = ctxs[ci].cur.as_mut().expect("cell without packet");
                         pkt.cells_built += 1;
                         pkt.cell_state = CellState::BuiltWaiting;
-                        if tracer.enabled() {
+                        if obs.is_tracing() {
                             let c = &ctxs[ci];
                             let pkt = c.cur.as_ref().expect("cell without packet");
-                            tracer.record(
+                            obs.record(
                                 TraceEvent::exit(now, Stage::TxSegment)
                                     .vc(c.vc.cam_key())
                                     .pkt(pkt.idx)
@@ -455,16 +452,15 @@ fn run_tx_inner(
                             &mut pending_push,
                             &mut engine_q,
                             payload_per_cell,
-                            tracer,
-                            profiler,
+                            obs,
                         );
                         ensure_framer!(q);
                     }
                     ETask::Complete(ci) => {
-                        if tracer.enabled() {
+                        if obs.is_tracing() {
                             let c = &ctxs[ci];
                             let idx = c.cur.as_ref().expect("complete without packet").idx;
-                            tracer.record(
+                            obs.record(
                                 TraceEvent::exit(now, Stage::TxComplete)
                                     .vc(c.vc.cam_key())
                                     .pkt(idx),
@@ -492,8 +488,8 @@ fn run_tx_inner(
                         pkt.idx,
                     )
                 };
-                if tracer.enabled() {
-                    tracer.record(
+                if obs.is_tracing() {
+                    obs.record(
                         TraceEvent::instant(now, Stage::TxDmaBurst)
                             .vc(ctxs[ci].vc.cam_key())
                             .pkt(idx)
@@ -510,7 +506,7 @@ fn run_tx_inner(
                         &mut bus,
                         now,
                         &mut q,
-                        profiler,
+                        obs,
                         &mut bursts_in_flight,
                     );
                 }
@@ -529,8 +525,7 @@ fn run_tx_inner(
                     &mut pending_push,
                     &mut engine_q,
                     payload_per_cell,
-                    tracer,
-                    profiler,
+                    obs,
                 );
                 ensure_framer!(q);
                 kick_engine!(q, now);
@@ -542,14 +537,14 @@ fn run_tx_inner(
                     // Always-on per-VC accounting: O(K) scan, no alloc,
                     // purely observational (53 wire octets per cell).
                     vc_cells.record_cell(ctxs[ci].vc.cam_key(), 53);
-                    if profiler.enabled() {
+                    if obs.is_profiling() {
                         // The cell occupied the slot that just elapsed.
                         let from = Time::from_ps(now.as_ps().saturating_sub(slot.as_ps()));
-                        profiler.charge(Component::TxLink, Activity::Transfer, from, slot);
-                        profiler.gauge(Component::TxFifo, now, fifo.len() as u64);
+                        obs.charge(Component::TxLink, Activity::Transfer, from, slot);
+                        obs.gauge(Component::TxFifo, now, fifo.len() as u64);
                     }
-                    if tracer.enabled() {
-                        tracer.record(
+                    if obs.is_tracing() {
+                        obs.record(
                             TraceEvent::instant(now, Stage::TxFramer)
                                 .vc(ctxs[ci].vc.cam_key())
                                 .pkt(pkt_idx)
@@ -598,8 +593,7 @@ fn run_tx_inner(
                             &mut pending_push,
                             &mut engine_q,
                             payload_per_cell,
-                            tracer,
-                            profiler,
+                            obs,
                         );
                     }
                 }
@@ -702,7 +696,7 @@ fn issue_burst(
     bus: &mut Bus,
     now: Time,
     q: &mut EventQueue<Ev>,
-    profiler: &mut dyn Profiler,
+    obs: &mut Observer,
     bursts_in_flight: &mut u32,
 ) {
     let pkt = ctx.cur.as_mut().expect("burst for missing packet");
@@ -714,7 +708,7 @@ fn issue_burst(
         let words = cfg.bus.burst_words(pkt.len.max(1), bi);
         let base = bi as usize * cfg.bus.max_burst_words as usize * cfg.bus.word_bytes;
         let bytes = (words as usize * cfg.bus.word_bytes).min(pkt.len.saturating_sub(base));
-        let done = bus.grant_profiled(now, words, bytes, Component::TxBus, profiler);
+        let done = bus.grant(now, words, bytes, Component::TxBus, obs);
         *bursts_in_flight += 1;
         q.schedule(done, Ev::BurstDone(ci));
     } else {
@@ -751,8 +745,7 @@ fn attempt_push(
     pending_push: &mut VecDeque<usize>,
     engine_q: &mut VecDeque<ETask>,
     payload_per_cell: usize,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
+    obs: &mut Observer,
 ) {
     let ctx = &mut ctxs[ci];
     let Some(pkt) = ctx.cur.as_mut() else { return };
@@ -781,11 +774,11 @@ fn attempt_push(
     let is_last = cell_idx + 1 == pkt.cells_total;
     fifo.push_back((ci, is_last, pkt.idx));
     *fifo_peak = (*fifo_peak).max(fifo.len() as u64);
-    if profiler.enabled() {
-        profiler.gauge(Component::TxFifo, now, fifo.len() as u64);
+    if obs.is_profiling() {
+        obs.gauge(Component::TxFifo, now, fifo.len() as u64);
     }
-    if tracer.enabled() {
-        tracer.record(
+    if obs.is_tracing() {
+        obs.record(
             TraceEvent::instant(now, Stage::TxFifoEnqueue)
                 .vc(ctx.vc.cam_key())
                 .pkt(pkt.idx)

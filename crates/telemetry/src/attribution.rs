@@ -120,7 +120,7 @@ impl Attribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::{Activity, CycleProfiler, Profiler};
+    use crate::profiler::{Activity, CycleProfiler};
     use hni_sim::Time;
 
     fn profile_with(charges: &[(Component, u64)]) -> Profile {

@@ -445,7 +445,7 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::{CycleProfiler, Profiler};
+    use crate::profiler::CycleProfiler;
     use hni_sim::Time;
 
     fn sample_profile() -> Profile {

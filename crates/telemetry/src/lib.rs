@@ -10,12 +10,12 @@
 //!   packet-lifecycle event: simulated [`Time`], pipeline [`Stage`],
 //!   span [`Phase`], VC, packet/cell sequence ids, and one
 //!   stage-specific argument.
-//! * [`Tracer`] — the sink trait the simulations emit into. The
-//!   [`NullTracer`] is a no-op whose `enabled()` gate lets every
-//!   instrumentation point vanish from the steady-state path: no
-//!   allocation, no buffering, bit-identical simulation results.
-//! * [`VecTracer`] — the in-memory sink: a growing buffer for
-//!   full-run capture.
+//! * [`Observer`] — the one sink the timing simulations report into:
+//!   an optional event buffer (full-run trace capture) and an optional
+//!   [`CycleProfiler`]. The default observer records nothing; its
+//!   `is_tracing()` / `is_profiling()` gates let every instrumentation
+//!   point vanish from the steady-state path: no event built, no
+//!   allocation, bit-identical simulation results.
 //! * [`MetricsRegistry`] — named `Counter` / `Histogram` / `RateMeter` /
 //!   `OccupancyTracker` instances (reusing `hni-sim::stats`) under
 //!   hierarchical names (`nic.tx.seg.cells`) with a deterministic text
@@ -24,11 +24,10 @@
 //!   `report --trace <id>` emits.
 //! * [`waterfall`] — the reducer that rebuilds the R-F3 per-stage
 //!   latency breakdown directly from trace spans.
-//! * [`Profiler`] / [`CycleProfiler`] — cycle accounting: every
-//!   simulated interval charged to a `(Component, Activity)` pair, with
-//!   windowed utilization [`TimeSeries`] and occupancy gauges; the
-//!   [`NullProfiler`] makes the layer free when disabled, exactly like
-//!   the tracer.
+//! * [`CycleProfiler`] — cycle accounting: every simulated interval
+//!   charged to a `(Component, Activity)` pair, with windowed
+//!   utilization [`TimeSeries`] and occupancy gauges; free when the
+//!   observer carries none, exactly like the trace buffer.
 //! * [`attribution`] — ranks a [`Profile`]'s resources by utilization
 //!   and computes the throughput ceiling each implies, naming the
 //!   bottleneck (`report bottleneck <id>`).
@@ -78,6 +77,7 @@ pub mod hist;
 pub mod json;
 pub mod jsonl;
 pub mod metrics;
+pub mod observer;
 pub mod profiler;
 pub mod reservoir;
 pub mod sampler;
@@ -86,16 +86,14 @@ pub mod spans;
 pub mod tailattr;
 pub mod timeseries;
 pub mod topk;
-pub mod tracer;
 pub mod waterfall;
 
 pub use attribution::{attribute, Attribution, ResourceShare};
 pub use event::{Phase, Stage, TraceEvent, NO_ID};
 pub use hist::{HdrHist, Pcts};
 pub use metrics::{Metric, MetricsRegistry};
-pub use profiler::{
-    Activity, Component, CycleProfiler, GaugeStats, NullProfiler, Profile, Profiler,
-};
+pub use observer::Observer;
+pub use profiler::{Activity, Component, CycleProfiler, GaugeStats, Profile};
 pub use reservoir::{Exemplar, TailReservoir};
 pub use sampler::TraceSampler;
 pub use sentinel::{LoopSample, Regression, SentinelRecord};
@@ -103,7 +101,6 @@ pub use spans::{PacketLife, PacketSpans, SpanStage, STAGE_LABELS};
 pub use tailattr::{attribute_tail, StageShare, TailAttribution};
 pub use timeseries::TimeSeries;
 pub use topk::{TopEntry, TopK, VcMetrics, VcShards};
-pub use tracer::{NullTracer, Tracer, VecTracer};
 pub use waterfall::{StageLatency, Waterfall};
 
 pub use hni_sim::{Duration, Time};

@@ -5,18 +5,18 @@
 //! between the link, the protocol engines, the FIFOs, the bus and the
 //! host. This module makes that accounting continuous: the simulations
 //! charge each interval of work (or stall) to a [`Component`] and
-//! [`Activity`] through the [`Profiler`] sink trait, and the recording
-//! [`CycleProfiler`] accumulates exact per-pair totals, windowed
-//! utilization [`TimeSeries`] and occupancy gauges. A [`Profile`]
-//! snapshot is what the attribution engine
+//! [`Activity`] through their [`Observer`](crate::Observer), and the
+//! [`CycleProfiler`] it carries accumulates exact per-pair totals,
+//! windowed utilization [`TimeSeries`] and occupancy gauges. A
+//! [`Profile`] snapshot is what the attribution engine
 //! ([`attribute`](crate::attribution::attribute)) and the exposition
 //! formats (folded stacks, Prometheus text) are computed from.
 //!
-//! Like the [`Tracer`](crate::Tracer) layer, the profiler is strictly
-//! zero-cost when disabled: every instrumentation point is gated on
-//! [`Profiler::enabled`], and [`NullProfiler`] compiles the whole layer
-//! away (golden tests prove byte-identical reports and zero extra
-//! allocations).
+//! The profiler is strictly zero-cost when disabled: every
+//! instrumentation point is gated on
+//! [`Observer::is_profiling`](crate::Observer::is_profiling), and an
+//! observer without a profiler skips the whole layer (golden tests
+//! prove byte-identical reports and zero extra allocations).
 
 use crate::timeseries::TimeSeries;
 use hni_sim::stats::OccupancyTracker;
@@ -141,45 +141,6 @@ impl Activity {
     }
 }
 
-/// The sink trait the simulations charge intervals into.
-///
-/// Mirrors the [`Tracer`](crate::Tracer) contract: every call site in a
-/// simulation is gated on `enabled()`, so a disabled profiler costs one
-/// inlined branch and nothing else.
-pub trait Profiler {
-    /// Whether charges will be kept. Instrumentation points test this
-    /// before doing any work to build a charge.
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Charge `dur` of `activity` on `component`, starting at `from`.
-    fn charge(&mut self, component: Component, activity: Activity, from: Time, dur: Duration);
-
-    /// Sample an occupancy gauge (FIFO depth, pool buffers in use,
-    /// switch backlog) for `component` at time `now`.
-    fn gauge(&mut self, component: Component, now: Time, value: u64);
-}
-
-/// The do-nothing profiler: `enabled()` is `false` and the compiler
-/// removes every gated charge.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullProfiler;
-
-impl Profiler for NullProfiler {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn charge(&mut self, _: Component, _: Activity, _: Time, _: Duration) {}
-
-    #[inline(always)]
-    fn gauge(&mut self, _: Component, _: Time, _: u64) {}
-}
-
 /// Occupancy gauge statistics captured into a [`Profile`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GaugeStats {
@@ -241,17 +202,18 @@ impl CycleProfiler {
             series: self.series.clone(),
         }
     }
-}
 
-impl Profiler for CycleProfiler {
-    fn charge(&mut self, component: Component, activity: Activity, from: Time, dur: Duration) {
+    /// Charge `dur` of `activity` on `component`, starting at `from`.
+    pub fn charge(&mut self, component: Component, activity: Activity, from: Time, dur: Duration) {
         self.totals[component as usize][activity as usize] += dur;
         if activity.is_active() {
             self.series[component as usize].charge(from, dur);
         }
     }
 
-    fn gauge(&mut self, component: Component, now: Time, value: u64) {
+    /// Sample an occupancy gauge (FIFO depth, pool buffers in use)
+    /// for `component` at time `now`.
+    pub fn gauge(&mut self, component: Component, now: Time, value: u64) {
         self.gauges[component as usize].set(now, value);
     }
 }
@@ -386,15 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn null_profiler_is_disabled() {
-        let p = NullProfiler;
-        assert!(!p.enabled());
-    }
-
-    #[test]
     fn cycle_profiler_accumulates_exact_totals() {
         let mut p = CycleProfiler::new();
-        assert!(p.enabled());
         p.charge(
             Component::TxEngine,
             Activity::Busy,

@@ -1,13 +1,12 @@
 //! Allocation-count proofs for the tracing and profiling hot paths.
 //!
 //! A per-thread counting global allocator wraps `System`; the tests
-//! assert that recording through a `NullTracer` and charging through a
-//! `NullProfiler` perform zero heap allocations, which is what makes it safe to leave
-//! instrumentation in the per-cell steady-state path.
+//! assert that recording and charging through an `Observer` with
+//! nothing enabled perform zero heap allocations, which is what makes it
+//! safe to leave instrumentation in the per-cell steady-state path.
 
 use hni_telemetry::{
-    Activity, Component, Duration, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, Time,
-    TraceEvent, Tracer,
+    Activity, Component, Duration, Observer, Stage, TailReservoir, Time, TraceEvent,
 };
 #[path = "../../../tests/common/count_alloc.rs"]
 mod count_alloc;
@@ -20,43 +19,43 @@ fn ev(i: u64) -> TraceEvent {
 }
 
 #[test]
-fn null_tracer_records_without_allocating() {
-    let mut t = NullTracer;
+fn idle_observer_records_without_allocating() {
+    let mut obs = Observer::default();
     let (_, n) = allocs_during(|| {
         for i in 0..10_000 {
-            if t.enabled() {
-                t.record(ev(i));
+            if obs.is_tracing() {
+                obs.record(ev(i));
             }
         }
     });
-    assert_eq!(n, 0, "NullTracer hot path allocated {n} times");
+    assert_eq!(n, 0, "idle observer trace path allocated {n} times");
 }
 
 #[test]
-fn null_profiler_charges_without_allocating() {
+fn idle_observer_charges_without_allocating() {
     // The exact shape of every profiler call site in the simulations:
-    // gate on enabled(), then charge or gauge.
-    let mut p = NullProfiler;
+    // gate on is_profiling(), then charge or gauge.
+    let mut obs = Observer::default();
     let (_, n) = allocs_during(|| {
         for i in 0..100_000u64 {
-            if p.enabled() {
-                p.charge(
+            if obs.is_profiling() {
+                obs.charge(
                     Component::RxEngine,
                     Activity::Busy,
                     Time::from_ns(i),
                     Duration::from_ns(600),
                 );
-                p.gauge(Component::RxFifo, Time::from_ns(i), i % 16);
+                obs.gauge(Component::RxFifo, Time::from_ns(i), i % 16);
             }
         }
     });
-    assert_eq!(n, 0, "NullProfiler hot path allocated {n} times");
+    assert_eq!(n, 0, "idle observer profile path allocated {n} times");
 }
 
 #[test]
 fn tail_reservoir_records_without_allocating() {
     // The always-on exemplar reservoir rides every packet completion,
-    // so its record path must be as clean as the tracers': both internal
+    // so its record path must be as clean as an idle observer's: both internal
     // sets are preallocated to capacity and replacement is in place.
     // (Reading the exemplars back — slowest()/sampled() — sorts into a
     // fresh Vec and is allowed to allocate; it runs once per report.)

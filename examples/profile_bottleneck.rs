@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Runs the canonical transmit workload (paper split, OC-12, greedy
-//! backlog) under a live `CycleProfiler`, then reduces the charges
+//! backlog) under a profiling `Observer`, then reduces the charges
 //! three ways:
 //!
 //! 1. the utilization-ranked bottleneck attribution with implied
@@ -17,7 +17,7 @@
 use hni_atm::VcId;
 use hni_core::txsim::{greedy_workload, run_tx_with, TxConfig};
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute, expfmt, CycleProfiler, NullTracer};
+use hni_telemetry::{attribute, expfmt, Observer};
 
 fn main() {
     let len: usize = std::env::args()
@@ -26,10 +26,10 @@ fn main() {
         .unwrap_or(9180);
 
     let cfg = TxConfig::paper(LineRate::Oc12);
-    let mut prof = CycleProfiler::new();
+    let mut obs = Observer::profiling();
     let wl = greedy_workload(20, len, VcId::new(0, 32));
-    let (report, _) = run_tx_with(&cfg, &wl, &mut NullTracer, &mut prof);
-    let profile = prof.snapshot(report.finished_at);
+    let (report, _) = run_tx_with(&cfg, &wl, &mut obs);
+    let profile = obs.snapshot(report.finished_at);
 
     println!(
         "profiled 20 × {len}-octet packets at OC-12 (paper split): \

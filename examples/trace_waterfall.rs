@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Runs the unloaded end-to-end composition (transmit pipeline →
-//! 5 µs of fibre → receive pipeline) with a recording tracer, then
+//! 5 µs of fibre → receive pipeline) with a tracing `Observer`, then
 //! reduces the event stream three ways:
 //!
 //! 1. the per-stage latency waterfall (the R-F3 breakdown, but measured

@@ -16,7 +16,7 @@ use hni_core::DiscardPolicy;
 use hni_sim::faults::chaos;
 use hni_sim::Duration;
 use hni_sonet::LineRate;
-use hni_telemetry::{Metric, MetricsRegistry, NullProfiler, VecTracer};
+use hni_telemetry::{Metric, MetricsRegistry, Observer};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("HNI_CHAOS_SEEDS") {
@@ -61,8 +61,8 @@ fn chaotic_rx_runs_reconcile_ledger_and_registry() {
     for seed in seeds() {
         let cfg = rx_cfg_for(seed);
         let plan = chaos::random_plan(seed);
-        let mut tracer = VecTracer::new();
-        let (report, _, lf) = run_rx_with(&cfg, &wl, &plan, seed, &mut tracer, &mut NullProfiler);
+        let mut obs = Observer::tracing();
+        let (report, _, lf) = run_rx_with(&cfg, &wl, &plan, seed, &mut obs);
         let l = report.ledger;
         assert!(
             l.reconciles(),
@@ -77,7 +77,7 @@ fn chaotic_rx_runs_reconcile_ledger_and_registry() {
 
         // The registry is a query over the telemetry stream; it must
         // agree with the run's own accounting cell for cell.
-        let reg = MetricsRegistry::from_trace(tracer.events(), report.run_end);
+        let reg = MetricsRegistry::from_trace(obs.events(), report.run_end);
         let (cells, _) = counter(&reg, "nic.rx.cells");
         assert_eq!(
             cells,
@@ -216,10 +216,10 @@ fn chaos_is_reproducible_per_seed() {
     for seed in [3u64, 17] {
         let cfg = rx_cfg_for(seed);
         let plan = chaos::random_plan(seed);
-        let mut t1 = VecTracer::new();
-        let mut t2 = VecTracer::new();
-        let (a, _, la) = run_rx_with(&cfg, &wl, &plan, seed, &mut t1, &mut NullProfiler);
-        let (b, _, lb) = run_rx_with(&cfg, &wl, &plan, seed, &mut t2, &mut NullProfiler);
+        let mut t1 = Observer::tracing();
+        let mut t2 = Observer::tracing();
+        let (a, _, la) = run_rx_with(&cfg, &wl, &plan, seed, &mut t1);
+        let (b, _, lb) = run_rx_with(&cfg, &wl, &plan, seed, &mut t2);
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed}");
         assert_eq!(la, lb, "seed {seed}");
         assert_eq!(t1.events(), t2.events(), "seed {seed}: traces diverged");

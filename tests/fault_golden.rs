@@ -18,7 +18,7 @@ use hni_core::txsim::{greedy_workload, TxConfig};
 use hni_core::{Bus, BusConfig};
 use hni_sim::{BusFaultPlan, Duration, FaultInjector, FaultPlan, Link, LinkDelivery, Rng, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{NullProfiler, NullTracer};
+use hni_telemetry::{Component, Observer};
 
 #[path = "common/count_alloc.rs"]
 mod count_alloc;
@@ -58,10 +58,11 @@ fn faultless_bus_never_touches_the_rng() {
     let cfg = BusConfig::default();
     let mut plain = Bus::new(cfg);
     let mut gated = Bus::with_faults(cfg, BusFaultPlan::NONE);
+    let mut obs = Observer::default();
     let mut now = Time::ZERO;
     for i in 0..2_000u32 {
-        let a = plain.grant(now, 32, 128);
-        let b = gated.grant(now, 32, 128);
+        let a = plain.grant(now, 32, 128, Component::RxBus, &mut obs);
+        let b = gated.grant(now, 32, 128, Component::RxBus, &mut obs);
         assert_eq!(a, b, "grant {i} diverged");
         now = a;
     }
@@ -74,16 +75,7 @@ fn faultless_bus_never_touches_the_rng() {
 fn faultless_rx_run_is_byte_identical_and_draw_free() {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, hni_aal::AalType::Aal5, 8, 6, 9180, 0.95);
-    let with = || {
-        run_rx_with(
-            &cfg,
-            &wl,
-            &FaultPlan::NONE,
-            7,
-            &mut NullTracer,
-            &mut NullProfiler,
-        )
-    };
+    let with = || run_rx_with(&cfg, &wl, &FaultPlan::NONE, 7, &mut Observer::default());
     // Warm both paths once (first-touch growth), then count.
     let _ = (run_rx(&cfg, &wl), with());
     let (plain, plain_allocs) = allocs_during(|| run_rx(&cfg, &wl));
@@ -122,16 +114,7 @@ fn faultless_e2e_run_is_byte_identical_and_draw_free() {
     let (faulted, lf) = run_e2e_faulted(&txc, &rxc, &pkts, prop, none, 3);
     assert_eq!(lf.rng_draws, 0, "faultless e2e path drew randomness");
     assert_eq!(format!("{plain:?}"), format!("{faulted:?}"));
-    let (with, lf_with) = run_e2e_with(
-        &txc,
-        &rxc,
-        &pkts,
-        prop,
-        none,
-        3,
-        &mut NullTracer,
-        &mut NullProfiler,
-    );
+    let (with, lf_with) = run_e2e_with(&txc, &rxc, &pkts, prop, none, 3, &mut Observer::default());
     assert_eq!(lf_with, lf);
     assert_eq!(format!("{plain:?}"), format!("{with:?}"));
 }
@@ -143,7 +126,7 @@ fn faulted_runs_are_pure_functions_of_plan_and_seed() {
     let plan = FaultPlan::iid(0.01, 1e-6)
         .with_duplication(0.01)
         .with_reorder(0.02, 4);
-    let run = |seed| run_rx_with(&cfg, &wl, &plan, seed, &mut NullTracer, &mut NullProfiler);
+    let run = |seed| run_rx_with(&cfg, &wl, &plan, seed, &mut Observer::default());
     let (a, _, la) = run(42);
     let (b, _, lb) = run(42);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));

@@ -20,7 +20,7 @@ use hni_atm::{CellSlab, VcId};
 use hni_bench::experiments::{rf1_tx_throughput, rt3_memory, rt4_pacing};
 use hni_bench::par_sweep_with_jobs;
 use hni_sim::{Duration, FaultPlan, Link, LinkDelivery, Rng, Time};
-use hni_telemetry::{NullProfiler, NullTracer};
+use hni_telemetry::Observer;
 #[path = "common/count_alloc.rs"]
 mod count_alloc;
 use count_alloc::allocs_during;
@@ -164,7 +164,7 @@ fn always_on_metrics_do_not_perturb_the_simulation() {
     // counters rode along. Two identical runs agree trivially — the
     // real check is that the metrics-carrying report still satisfies
     // the cross-invariants the seed established.
-    let r = rf1_tx_throughput::canonical(&mut NullTracer, &mut NullProfiler);
+    let r = rf1_tx_throughput::canonical(&mut Observer::default());
     assert_eq!(
         r.latency_hist.count() as usize,
         20,
@@ -185,7 +185,7 @@ fn always_on_metrics_do_not_perturb_the_simulation() {
     );
     // And the histogram itself is recorded outside the event loop's
     // timing: re-running produces float-identical goodput.
-    let again = rf1_tx_throughput::canonical(&mut NullTracer, &mut NullProfiler);
+    let again = rf1_tx_throughput::canonical(&mut Observer::default());
     assert_eq!(r.goodput_bps.to_bits(), again.goodput_bps.to_bits());
     assert_eq!(r.cells_sent, again.cells_sent);
 }

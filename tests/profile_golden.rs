@@ -1,11 +1,12 @@
 //! Golden proofs for the cycle-accounting profiler:
 //!
 //! 1. **Observation does not perturb** — running any pipeline under a
-//!    live `CycleProfiler` yields byte-identical reports (and departure
+//!    profiling `Observer` yields byte-identical reports (and departure
 //!    schedules) to the unprofiled run.
-//! 2. **Off means free** — with the profiler disabled the simulations
-//!    perform exactly as many heap allocations as they ever did: the
-//!    instrumentation is a branch on `enabled()` and nothing else.
+//! 2. **Off means free** — with an observer that records nothing the
+//!    simulations perform exactly as many heap allocations as they ever
+//!    did: the instrumentation is a branch on `is_profiling()` /
+//!    `is_tracing()` and nothing else.
 //! 3. **The charges add up** — profiler totals reconcile exactly with
 //!    the reports' own busy-time counters, and folded stacks render
 //!    deterministically.
@@ -18,26 +19,18 @@ use hni_core::txsim::{
 };
 use hni_sim::{Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{Activity, Component, CycleProfiler, NullProfiler, NullTracer, Profiler};
+use hni_telemetry::{Activity, Component, Observer};
 
 #[path = "common/count_alloc.rs"]
 mod count_alloc;
 use count_alloc::allocs_during;
 
-fn tx_with(
-    cfg: &TxConfig,
-    wl: &[TxPacket],
-    profiler: &mut dyn Profiler,
-) -> (TxReport, Vec<CellDeparture>) {
-    run_tx_with(cfg, wl, &mut NullTracer, profiler)
+fn tx_with(cfg: &TxConfig, wl: &[TxPacket], obs: &mut Observer) -> (TxReport, Vec<CellDeparture>) {
+    run_tx_with(cfg, wl, obs)
 }
 
-fn rx_with(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    profiler: &mut dyn Profiler,
-) -> (RxReport, Vec<Option<Time>>) {
-    let (r, done, _) = run_rx_with(cfg, wl, &FaultPlan::NONE, 0, &mut NullTracer, profiler);
+fn rx_with(cfg: &RxConfig, wl: &RxWorkload, obs: &mut Observer) -> (RxReport, Vec<Option<Time>>) {
+    let (r, done, _) = run_rx_with(cfg, wl, &FaultPlan::NONE, 0, obs);
     (r, done)
 }
 
@@ -56,9 +49,9 @@ fn profiled_tx_run_is_byte_identical() {
     let cfg = tx_cfg();
     let wl = greedy_workload(12, 9180, VcId::new(0, 32));
     let plain = run_tx(&cfg, &wl);
-    let (dep_plain_report, dep_plain) = tx_with(&cfg, &wl, &mut NullProfiler);
-    let mut prof = CycleProfiler::new();
-    let (profiled, dep_prof) = tx_with(&cfg, &wl, &mut prof);
+    let (dep_plain_report, dep_plain) = tx_with(&cfg, &wl, &mut Observer::default());
+    let mut obs = Observer::profiling();
+    let (profiled, dep_prof) = tx_with(&cfg, &wl, &mut obs);
     assert_eq!(format!("{plain:?}"), format!("{profiled:?}"));
     assert_eq!(format!("{dep_plain_report:?}"), format!("{profiled:?}"));
     assert_eq!(format!("{dep_plain:?}"), format!("{dep_prof:?}"));
@@ -68,9 +61,9 @@ fn profiled_tx_run_is_byte_identical() {
 fn profiled_rx_run_is_byte_identical() {
     let (cfg, wl) = rx_parts();
     let plain = run_rx(&cfg, &wl);
-    let (traced_report, done_plain) = rx_with(&cfg, &wl, &mut NullProfiler);
-    let mut prof = CycleProfiler::new();
-    let (profiled, done_prof) = rx_with(&cfg, &wl, &mut prof);
+    let (traced_report, done_plain) = rx_with(&cfg, &wl, &mut Observer::default());
+    let mut obs = Observer::profiling();
+    let (profiled, done_prof) = rx_with(&cfg, &wl, &mut obs);
     assert_eq!(format!("{plain:?}"), format!("{profiled:?}"));
     assert_eq!(format!("{traced_report:?}"), format!("{profiled:?}"));
     assert_eq!(done_plain, done_prof);
@@ -83,9 +76,9 @@ fn profiled_e2e_run_is_byte_identical() {
     let wl = greedy_workload(8, 9180, VcId::new(0, 32));
     let prop = Duration::from_us(5);
     let plain = run_e2e(&txc, &rxc, &wl, prop);
-    let mut prof = CycleProfiler::new();
+    let mut obs = Observer::profiling();
     let none = &FaultPlan::NONE;
-    let (profiled, _) = run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut NullTracer, &mut prof);
+    let (profiled, _) = run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut obs);
     assert_eq!(format!("{plain:?}"), format!("{profiled:?}"));
 }
 
@@ -110,14 +103,14 @@ fn disabled_profiler_adds_zero_allocations() {
     };
     let _ = (
         plain_plus_departures(),
-        tx_with(&cfg, &wl, &mut NullProfiler),
+        tx_with(&cfg, &wl, &mut Observer::default()),
     );
     let (deps, base) = allocs_during(plain_plus_departures);
-    // Null observers must allocate *exactly* what the plain run does —
+    // An idle observer must allocate *exactly* what the plain run does —
     // every gate compiles to a constant-false branch.
-    let ((_, departures), gated) = allocs_during(|| tx_with(&cfg, &wl, &mut NullProfiler));
+    let ((_, departures), gated) = allocs_during(|| tx_with(&cfg, &wl, &mut Observer::default()));
     assert_eq!(departures.len(), deps.len());
-    assert_eq!(base, gated, "NullProfiler run allocated {gated} vs {base}");
+    assert_eq!(base, gated, "idle-observer run allocated {gated} vs {base}");
     // And the run itself is allocation-deterministic (the comparison
     // above is meaningful).
     let (_, again) = allocs_during(plain_plus_departures);
@@ -126,13 +119,16 @@ fn disabled_profiler_adds_zero_allocations() {
     // Receive: the `_with` entry's only extra allocation is the
     // completion vector it returns.
     let (rcfg, rwl) = rx_parts();
-    let _ = (run_rx(&rcfg, &rwl), rx_with(&rcfg, &rwl, &mut NullProfiler));
+    let _ = (
+        run_rx(&rcfg, &rwl),
+        rx_with(&rcfg, &rwl, &mut Observer::default()),
+    );
     let (_, rbase) = allocs_during(|| run_rx(&rcfg, &rwl));
-    let (_, rgated) = allocs_during(|| rx_with(&rcfg, &rwl, &mut NullProfiler));
+    let (_, rgated) = allocs_during(|| rx_with(&rcfg, &rwl, &mut Observer::default()));
     assert_eq!(
         rbase + 1,
         rgated,
-        "NullProfiler rx run allocated {rgated} vs {rbase} + 1"
+        "idle-observer rx run allocated {rgated} vs {rbase} + 1"
     );
 }
 
@@ -140,9 +136,9 @@ fn disabled_profiler_adds_zero_allocations() {
 fn tx_profile_reconciles_with_report_counters() {
     let cfg = tx_cfg();
     let wl = greedy_workload(12, 9180, VcId::new(0, 32));
-    let mut prof = CycleProfiler::new();
-    let (r, _) = tx_with(&cfg, &wl, &mut prof);
-    let p = prof.snapshot(r.finished_at);
+    let mut obs = Observer::profiling();
+    let (r, _) = tx_with(&cfg, &wl, &mut obs);
+    let p = obs.snapshot(r.finished_at);
     // Engine busy: the profiler charged exactly the report's counter.
     assert_eq!(p.total(Component::TxEngine, Activity::Busy), r.engine_busy);
     // Bus: transfer + arbitration partition the bus busy time exactly.
@@ -162,9 +158,9 @@ fn tx_profile_reconciles_with_report_counters() {
 #[test]
 fn rx_profile_reconciles_with_report_counters() {
     let (cfg, wl) = rx_parts();
-    let mut prof = CycleProfiler::new();
-    let (r, _) = rx_with(&cfg, &wl, &mut prof);
-    let p = prof.snapshot(r.run_end);
+    let mut obs = Observer::profiling();
+    let (r, _) = rx_with(&cfg, &wl, &mut obs);
+    let p = obs.snapshot(r.run_end);
     // Link transfer: one slot per offered cell.
     assert_eq!(
         p.total(Component::RxLink, Activity::Transfer),
@@ -181,9 +177,9 @@ fn folded_stacks_render_deterministically() {
     let render = || {
         let cfg = tx_cfg();
         let wl = greedy_workload(8, 9180, VcId::new(0, 32));
-        let mut prof = CycleProfiler::new();
-        let (r, _) = tx_with(&cfg, &wl, &mut prof);
-        prof.snapshot(r.finished_at).folded_stacks()
+        let mut obs = Observer::profiling();
+        let (r, _) = tx_with(&cfg, &wl, &mut obs);
+        obs.snapshot(r.finished_at).folded_stacks()
     };
     let a = render();
     let b = render();

@@ -242,6 +242,14 @@ fn capability_views_exit_2_naming_their_supported_ids() {
         "report diff: r-t1: no always-on histogram support\n"
     );
     assert_eq!(
+        report(&["trace", "r-f1", "--sample", "0"]),
+        (
+            2,
+            String::new(),
+            "--sample needs a value >= 1\n".to_string()
+        )
+    );
+    assert_eq!(
         report(&["r-f99"]),
         (
             2,

@@ -11,7 +11,7 @@ use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, TxConfig, TxPacket};
 use hni_sim::{Duration, FaultPlan};
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute_tail, NullProfiler, PacketSpans, VecTracer};
+use hni_telemetry::{attribute_tail, Observer, PacketSpans};
 
 const PROPAGATION: Duration = Duration::from_us(5);
 
@@ -34,7 +34,7 @@ fn duplicated_cells_keep_every_span_telescoping() {
         duplication: 0.002,
         ..FaultPlan::NONE
     };
-    let mut tracer = VecTracer::new();
+    let mut obs = Observer::tracing();
     let (report, lf) = run_e2e_with(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
@@ -42,11 +42,10 @@ fn duplicated_cells_keep_every_span_telescoping() {
         PROPAGATION,
         &plan,
         0xd0b1e5,
-        &mut tracer,
-        &mut NullProfiler,
+        &mut obs,
     );
     assert!(lf.duplicated > 0, "plan must actually duplicate: {lf:?}");
-    let spans = PacketSpans::from_events(&tracer.into_events());
+    let spans = PacketSpans::from_events(&obs.into_events());
     assert_eq!(spans.len(), 12);
     let mut complete = 0;
     for p in spans.packets() {
@@ -79,7 +78,7 @@ fn duplicated_cells_keep_every_span_telescoping() {
 #[test]
 fn lost_packets_leave_partial_but_attributable_spans() {
     let plan = FaultPlan::loss(0.05);
-    let mut tracer = VecTracer::new();
+    let mut obs = Observer::tracing();
     let (report, lf) = run_e2e_with(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
@@ -87,11 +86,10 @@ fn lost_packets_leave_partial_but_attributable_spans() {
         PROPAGATION,
         &plan,
         0x10557,
-        &mut tracer,
-        &mut NullProfiler,
+        &mut obs,
     );
     assert!(lf.dropped > 0, "plan must actually drop: {lf:?}");
-    let spans = PacketSpans::from_events(&tracer.into_events());
+    let spans = PacketSpans::from_events(&obs.into_events());
     let incomplete: Vec<u32> = spans
         .packets()
         .filter(|&p| spans.life(p).is_some_and(|l| !l.is_complete()))
@@ -127,7 +125,7 @@ fn lost_packets_leave_partial_but_attributable_spans() {
 #[test]
 fn reservoir_names_the_histogram_max_and_reruns_identically() {
     let run = || {
-        let mut tracer = VecTracer::new();
+        let mut obs = Observer::tracing();
         let (r, _) = run_e2e_with(
             &TxConfig::paper(LineRate::Oc12),
             &RxConfig::paper(LineRate::Oc12),
@@ -135,10 +133,9 @@ fn reservoir_names_the_histogram_max_and_reruns_identically() {
             PROPAGATION,
             &FaultPlan::NONE,
             0,
-            &mut tracer,
-            &mut NullProfiler,
+            &mut obs,
         );
-        (r, tracer.into_events())
+        (r, obs.into_events())
     };
     let (a, events) = run();
     let (b, _) = run();
@@ -172,7 +169,7 @@ fn zero_length_packets_survive_the_faulted_path() {
     for p in wl.iter_mut().take(2) {
         p.len = 0;
     }
-    let mut tracer = VecTracer::new();
+    let mut obs = Observer::tracing();
     let (_, lf) = run_e2e_with(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
@@ -183,11 +180,10 @@ fn zero_length_packets_survive_the_faulted_path() {
             ..FaultPlan::NONE
         },
         0x1e43,
-        &mut tracer,
-        &mut NullProfiler,
+        &mut obs,
     );
     assert_eq!(lf.dropped, 0, "duplication-only plan must not drop");
-    let spans = PacketSpans::from_events(&tracer.into_events());
+    let spans = PacketSpans::from_events(&obs.into_events());
     for p in spans.packets() {
         if let Some(w) = spans.waterfall(p) {
             assert!(w.total >= Duration::ZERO);

@@ -1,6 +1,6 @@
 //! Golden guarantee of the telemetry layer: turning tracing on must not
 //! change a single simulated outcome. Every timing simulator is run
-//! twice — once with a `NullTracer` and once with a recording tracer —
+//! twice — once with an idle `Observer` and once with a tracing one —
 //! and the reports are compared byte for byte via their `Debug`
 //! rendering (which includes every counter, time and statistic they
 //! carry).
@@ -12,17 +12,19 @@ use hni_core::rxsim::{run_rx, run_rx_with, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, run_tx, run_tx_with, TxConfig};
 use hni_sim::{Duration, FaultPlan};
 use hni_sonet::LineRate;
-use hni_telemetry::{NullProfiler, NullTracer, VecTracer};
+use hni_telemetry::Observer;
 
 #[test]
 fn tx_report_identical_with_tracing_on() {
     let cfg = TxConfig::paper(LineRate::Oc12);
     let wl = greedy_workload(15, 9180, VcId::new(0, 32));
-    let (plain_report, plain_departures) =
-        run_tx_with(&cfg, &wl, &mut NullTracer, &mut NullProfiler);
-    let mut tracer = VecTracer::new();
-    let (traced_report, traced_departures) = run_tx_with(&cfg, &wl, &mut tracer, &mut NullProfiler);
-    assert!(!tracer.is_empty(), "instrumented run must record events");
+    let (plain_report, plain_departures) = run_tx_with(&cfg, &wl, &mut Observer::default());
+    let mut obs = Observer::tracing();
+    let (traced_report, traced_departures) = run_tx_with(&cfg, &wl, &mut obs);
+    assert!(
+        !obs.events().is_empty(),
+        "instrumented run must record events"
+    );
     assert_eq!(format!("{plain_report:?}"), format!("{traced_report:?}"));
     assert_eq!(
         format!("{:?}", run_tx(&cfg, &wl)),
@@ -39,12 +41,10 @@ fn rx_report_identical_with_tracing_on() {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 6, 9180, 1.0);
     let none = &FaultPlan::NONE;
-    let (plain_report, plain_done, _) =
-        run_rx_with(&cfg, &wl, none, 0, &mut NullTracer, &mut NullProfiler);
-    let mut tracer = VecTracer::new();
-    let (traced_report, traced_done, _) =
-        run_rx_with(&cfg, &wl, none, 0, &mut tracer, &mut NullProfiler);
-    assert!(!tracer.is_empty());
+    let (plain_report, plain_done, _) = run_rx_with(&cfg, &wl, none, 0, &mut Observer::default());
+    let mut obs = Observer::tracing();
+    let (traced_report, traced_done, _) = run_rx_with(&cfg, &wl, none, 0, &mut obs);
+    assert!(!obs.events().is_empty());
     assert_eq!(format!("{plain_report:?}"), format!("{traced_report:?}"));
     assert_eq!(
         format!("{:?}", run_rx(&cfg, &wl)),
@@ -60,19 +60,10 @@ fn e2e_report_identical_with_tracing_on() {
     let wl = greedy_workload(8, 9180, VcId::new(0, 32));
     let prop = Duration::from_us(5);
     let plain = run_e2e(&txc, &rxc, &wl, prop);
-    let mut tracer = VecTracer::new();
+    let mut obs = Observer::tracing();
     let none = &FaultPlan::NONE;
-    let (traced, _) = run_e2e_with(
-        &txc,
-        &rxc,
-        &wl,
-        prop,
-        none,
-        0,
-        &mut tracer,
-        &mut NullProfiler,
-    );
-    assert!(!tracer.is_empty());
+    let (traced, _) = run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut obs);
+    assert!(!obs.events().is_empty());
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
 }
 
@@ -84,11 +75,11 @@ fn rerunning_the_trace_is_deterministic() {
     let rxc = RxConfig::paper(LineRate::Oc12);
     let wl = greedy_workload(3, 9180, VcId::new(0, 32));
     let prop = Duration::from_us(5);
-    let mut t1 = VecTracer::new();
-    let mut t2 = VecTracer::new();
+    let mut t1 = Observer::tracing();
+    let mut t2 = Observer::tracing();
     let none = &FaultPlan::NONE;
-    run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut t1, &mut NullProfiler);
-    run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut t2, &mut NullProfiler);
+    run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut t1);
+    run_e2e_with(&txc, &rxc, &wl, prop, none, 0, &mut t2);
     assert_eq!(
         hni_telemetry::jsonl::to_jsonl(t1.events()),
         hni_telemetry::jsonl::to_jsonl(t2.events())

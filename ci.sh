@@ -33,21 +33,36 @@ cargo run -q -p hni-bench --bin report --release -- perf --fast bench_perf_smoke
 for key in '"schema": "hni-bench-perf/2"' '"hot_loops"' '"cells_per_sec"' \
            '"speedup"' '"cores"' '"jobs"' \
            'aal5_sar_slab' 'hec_delineation' 'rx_reassembly' 'e2e_cells' \
-           'vc_lookup'; do
+           'vc_lookup' 'nic_line_oc12'; do
     grep -q "$key" bench_perf_smoke.json || {
         echo "BENCH_PERF schema: missing $key" >&2; exit 1; }
 done
 
+# perf_gate <hot loop> <min cells/s> <label>: the loop's fast-mode rate
+# in bench_perf_smoke.json must reach the floor.
+perf_gate() {
+    rate=$(tr ',' '\n' < bench_perf_smoke.json \
+        | sed -n "/\"name\": \"$1\"/,/\"name\"/p" \
+        | sed -n 's/.*"cells_per_sec": \([0-9.e+]*\).*/\1/p' | head -n 1)
+    [ -n "$rate" ] || { echo "perf gate: no $1 rate" >&2; exit 1; }
+    awk -v r="$rate" -v min="$2" 'BEGIN { exit !(r + 0 >= min + 0) }' || {
+        echo "perf gate: $1 $rate cells/s < $3" >&2
+        exit 1; }
+    echo "    $1: $rate cells/s (floor $3)"
+}
+
 echo "==> perf gate: hec_delineation sustains OC-12 line rate (1.47M cells/s)"
 # The burst delineator must stay comfortably past the 622.08 Mb/s line
 # cell rate (622.08e6 / 424 = 1,467,170 cells/s) even in fast mode.
-hec_rate=$(tr ',' '\n' < bench_perf_smoke.json \
-    | sed -n '/"name": "hec_delineation"/,/"name"/p' \
-    | sed -n 's/.*"cells_per_sec": \([0-9.e+]*\).*/\1/p' | head -n 1)
-[ -n "$hec_rate" ] || { echo "perf gate: no hec_delineation rate" >&2; exit 1; }
-awk -v r="$hec_rate" 'BEGIN { exit !(r + 0 >= 1470000) }' || {
-    echo "perf gate: hec_delineation $hec_rate cells/s < OC-12 1.47M" >&2
-    exit 1; }
+perf_gate hec_delineation 1470000 "OC-12 1.47M"
+
+echo "==> perf gate: the byte-exact Nic pair keeps up with OC-3 and OC-12"
+# The whole Nic path (send, TC scrambling, SONET framing, alignment,
+# parsing, delineation, descrambling, reassembly) must carry every cell
+# slot of an STS-3c payload (149.76e6 / 424 = 353,207 cells/s) and of
+# the 622.08 Mb/s line (1,467,170 cells/s), in fast mode.
+perf_gate nic_line_oc12 353207 "OC-3 353,207"
+perf_gate nic_line_oc12 1470000 "OC-12 1.47M"
 rm -f bench_perf_smoke.json
 
 echo "==> expfmt lint: live expositions pass the conformance validator"

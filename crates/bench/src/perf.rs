@@ -2,7 +2,7 @@
 //! opposed to the simulated-cycle numbers every `R-*` experiment
 //! reports.
 //!
-//! Five hot loops are timed with the criterion shim's calibrated
+//! Six hot loops are timed with the criterion shim's calibrated
 //! sampler ([`criterion::measure`]) and normalised to cells per second
 //! of real CPU time:
 //!
@@ -14,13 +14,18 @@
 //!   `deliver_burst`, with SDU buffers recycled to the spare pool.
 //! * `e2e_cells` — AAL5 segment plus reassemble per burst; no cell
 //!   crosses the ATM header, scrambler or SONET layers, so this is not
-//!   the byte-exact `Nic` path (`nicbench`'s `line_bulk_oc12` times
-//!   that).
+//!   the byte-exact `Nic` path (`nic_line_oc12` times that).
 //! * `vc_lookup` — the per-cell "which connection?" probe against a
 //!   fully-populated sharded [`VcTable`], Zipf-distributed keys — the
 //!   wall-clock companion of R-S1's deterministic probe counts.
+//! * `nic_line_oc12` — the whole byte-exact path of a [`Nic`] pair at
+//!   STS-12c: 9180-octet SDUs keep every payload slot full, and each
+//!   frame goes `send` → `frame_tick` → `receive_line_octets` → `poll`
+//!   (segmentation, x⁴³ scrambling, SONET framing, alignment, parsing,
+//!   delineation, descrambling, CAM and reassembly). One op is 53
+//!   frames, which carry exactly 9360 cells.
 //!
-//! A sixth measurement times the R-F1 report sweep serially
+//! A seventh measurement times the R-F1 report sweep serially
 //! (`jobs = 1`) and under the `HNI_JOBS` worker pool, reporting the
 //! observed speedup **and the machine's core count** — the speedup is a
 //! property of the host, not the code; on a single-core machine it is
@@ -37,7 +42,9 @@ use crate::par_sweep::{available_cores, jobs_from_env};
 use criterion::{measure, BenchResult};
 use hni_aal::aal5::{self, Aal5Reassembler};
 use hni_atm::{CellSlab, Delineator, VcId, VcTable, CELL_SIZE};
+use hni_core::{Nic, NicConfig, NicEvent};
 use hni_sim::{Duration, Rng, Time, Zipf};
+use hni_sonet::LineRate;
 use hni_telemetry::{json, LoopSample, SentinelRecord};
 
 /// One hot loop's timing, normalised to cell rate.
@@ -184,6 +191,8 @@ pub fn run_perf(fast: bool) -> PerfReport {
     });
     let vcl = hot_loop(vcl, lookup_keys.len());
 
+    let nic = nic_line_oc12(vc, &sdu, samples, sample_s);
+
     // --- serial vs parallel R-F1 sweep ---
     let pkts = if fast { 3 } else { 12 };
     let sweep_samples = if fast { 3 } else { 7 };
@@ -204,9 +213,63 @@ pub fn run_perf(fast: bool) -> PerfReport {
     PerfReport {
         mode: if fast { "fast" } else { "full" },
         cores: available_cores(),
-        hot_loops: vec![sar, hec, rx, e2e, vcl],
+        hot_loops: vec![sar, hec, rx, e2e, vcl, nic],
         sweep,
     }
+}
+
+/// Time a `Nic` pair joined back to back at STS-12c, the sender topped
+/// up with `sdu` so that no frame carries an idle cell. Every frame is
+/// checked: each event must be an intact SDU.
+fn nic_line_oc12(vc: VcId, sdu: &[u8], samples: usize, sample_s: f64) -> HotLoop {
+    let rate = LineRate::Oc12;
+    let cfg = NicConfig::paper(rate);
+    let (mut a, mut b) = (Nic::new(cfg.clone()), Nic::new(cfg));
+    a.open_vc(vc).expect("open at A");
+    b.open_vc(vc).expect("open at B");
+    let mut now = Time::ZERO;
+    for _ in 0..64 {
+        let frame = a.frame_tick();
+        b.receive_line_octets(&frame, now);
+        now += rate.frame_time();
+        if b.tc_receiver().delineator().is_synced() {
+            break;
+        }
+    }
+    assert!(
+        b.tc_receiver().delineator().is_synced(),
+        "B must delineate on idle frames"
+    );
+    let need = rate.payload_octets_per_frame();
+    let idle_before = a.tc_transmitter().idle_cells();
+    let r = measure("nic_line_oc12", samples, sample_s, || {
+        let mut delivered = 0usize;
+        // 53 frames carry a whole number of cells: `need` of them.
+        for _ in 0..CELL_SIZE {
+            while a.tx_backlog_cells() * CELL_SIZE < need {
+                a.send(vc, sdu.to_vec(), now).expect("send");
+            }
+            let frame = a.frame_tick();
+            b.receive_line_octets(&frame, now);
+            while let Some(ev) = b.poll() {
+                match ev {
+                    NicEvent::PacketReceived { data, .. } if data == sdu => {
+                        delivered += 1;
+                        b.recycle_sdu_buffer(data);
+                    }
+                    other => panic!("clean line delivered {other:?}"),
+                }
+            }
+            now += rate.frame_time();
+        }
+        delivered
+    });
+    assert_eq!(
+        a.tc_transmitter().idle_cells(),
+        idle_before,
+        "every slot must carry data"
+    );
+    hot_loop(r, need)
 }
 
 /// Format an `f64` for JSON: finite, fixed-point, no NaN/inf leakage.
@@ -323,7 +386,7 @@ mod tests {
     fn fast_perf_runs_and_serialises() {
         let r = run_perf(true);
         assert_eq!(r.mode, "fast");
-        assert_eq!(r.hot_loops.len(), 5);
+        assert_eq!(r.hot_loops.len(), 6);
         for h in &r.hot_loops {
             assert!(h.cells_per_sec > 0.0, "{}", h.result.name);
             assert!(h.result.median_ns > 0.0, "{}", h.result.name);
@@ -341,6 +404,7 @@ mod tests {
             "rx_reassembly",
             "e2e_cells",
             "vc_lookup",
+            "nic_line_oc12",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
@@ -359,7 +423,7 @@ mod tests {
         assert!(text.contains("speedup"), "{text}");
         // The sentinel record round-trips through its own line format.
         let rec = r.sentinel_record();
-        assert_eq!(rec.samples.len(), 6, "5 hot loops + sweep_serial");
+        assert_eq!(rec.samples.len(), 7, "6 hot loops + sweep_serial");
         let parsed = SentinelRecord::parse_line(&rec.to_line()).expect("own line parses");
         assert_eq!(parsed.mode, "fast");
         assert_eq!(parsed.samples.len(), rec.samples.len());

@@ -28,7 +28,7 @@
 //! trusting H4 couples you to the far framer's honesty).
 
 use crate::rates::LineRate;
-use crate::scramble::FrameScrambler;
+use crate::scramble::{xor_in, FrameScrambler};
 use core::fmt;
 
 /// A1 framing octet.
@@ -85,10 +85,17 @@ impl FrameGeometry {
         col >= start && col < start + self.rate.fixed_stuff_columns()
     }
 
+    /// The first payload column; payload runs from here to the end of
+    /// every row.
+    #[inline]
+    pub fn payload_col(&self) -> usize {
+        self.poh_col() + 1 + self.rate.fixed_stuff_columns()
+    }
+
     /// Whether `col` carries ATM payload.
     #[inline]
     pub fn is_payload(&self, col: usize) -> bool {
-        col >= self.poh_col() + 1 + self.rate.fixed_stuff_columns() && col < self.rate.columns()
+        col >= self.payload_col() && col < self.rate.columns()
     }
 
     /// Whether octet (row, col) is in the section-overhead region
@@ -112,8 +119,59 @@ impl FrameGeometry {
     }
 }
 
-fn bip8(acc: u8, octets: impl Iterator<Item = u8>) -> u8 {
-    octets.fold(acc, |a, b| a ^ b)
+/// BIP-8 of `octets`: their XOR, folded a u64 word at a time.
+fn bip8(octets: &[u8]) -> u8 {
+    let mut words = octets.chunks_exact(8);
+    let wide = words.by_ref().fold(0u64, |acc, w| {
+        acc ^ u64::from_le_bytes(w.try_into().expect("8-octet chunk"))
+    });
+    let tail = words.remainder().iter().fold(0u8, |acc, &b| acc ^ b);
+    wide.to_le_bytes().iter().fold(tail, |acc, &b| acc ^ b)
+}
+
+/// B3 of an unscrambled frame: BIP-8 over the SPE columns of every row.
+fn spe_bip8(geo: FrameGeometry, f: &[u8]) -> u8 {
+    let cols = geo.rate.columns();
+    f.chunks_exact(cols)
+        .fold(0, |acc, row| acc ^ bip8(&row[geo.poh_col()..]))
+}
+
+/// Octets in the wide accumulator of [`b2_fold`]: 32 STS-1 slices' worth
+/// at the largest rate.
+const B2_WIDE: usize = 32 * LineRate::Oc192.sts_n();
+
+/// B2 of an unscrambled frame into `b2` (one octet per STS-1 slice):
+/// BIP-8 of the octets in columns ≡ i mod N outside the section
+/// overhead. Every covered run starts on a multiple of N, so the runs
+/// fold into one accumulator of 32·N octets (octet `j` belongs to slice
+/// `j mod N`), which then folds down to N.
+fn b2_fold(geo: FrameGeometry, f: &[u8], b2: &mut [u8]) {
+    let n = geo.rate.sts_n();
+    let toh = geo.rate.toh_columns();
+    let cols = geo.rate.columns();
+    let mut wide = [0u8; B2_WIDE];
+    let wide = &mut wide[..32 * n];
+    let mut fold = |run: &[u8]| {
+        for chunk in run.chunks(wide.len()) {
+            xor_in(wide, chunk);
+        }
+    };
+    // Rows 0–2 minus their TOH columns (the SOH), then rows 3–8 whole.
+    for row in f.chunks_exact(cols).take(3) {
+        fold(&row[toh..]);
+    }
+    fold(&f[geo.index(3, 0)..]);
+    b2.fill(0);
+    for slices in wide.chunks_exact(n) {
+        xor_in(b2, slices);
+    }
+}
+
+/// Apply the frame scrambler to everything but row 0 of the TOH (the
+/// first 3N octets, which it clocks past without touching).
+fn scramble_frame(rate: LineRate, f: &mut [u8]) {
+    let clear = rate.toh_columns();
+    FrameScrambler::at(clear).apply(&mut f[clear..]);
 }
 
 /// Errors a [`FrameParser`] can report.
@@ -179,9 +237,8 @@ impl FrameBuilder {
     /// the octet offset from the first payload octet of the *next* frame
     /// to the next cell boundary (mod 53).
     pub fn build(&mut self, payload: &[u8], h4_cell_offset: u8) -> Vec<u8> {
-        let rate = self.geo.rate;
-        let n = rate.sts_n();
-        let cols = rate.columns();
+        let geo = self.geo;
+        let rate = geo.rate;
         assert_eq!(
             payload.len(),
             rate.payload_octets_per_frame(),
@@ -189,7 +246,35 @@ impl FrameBuilder {
         );
 
         let mut f = vec![0u8; rate.frame_octets()];
+        self.write_overhead(&mut f, h4_cell_offset);
+
+        // Payload columns: the tail of every row, one slice per row.
+        let first = geo.payload_col();
+        for (row, src) in f
+            .chunks_exact_mut(rate.columns())
+            .zip(payload.chunks_exact(rate.payload_columns()))
+        {
+            row[first..].copy_from_slice(src);
+        }
+
+        // Parity for the NEXT frame: B3 over this SPE, B2 per slice over
+        // non-SOH octets — both pre-scrambling.
+        self.b3_next = spe_bip8(geo, &f);
+        b2_fold(geo, &f, &mut self.b2_next);
+
+        scramble_frame(rate, &mut f);
+
+        // B1 for the next frame: over this frame post-scrambling.
+        self.b1_next = bip8(&f);
+        self.frame_count += 1;
+        f
+    }
+
+    /// Write the TOH and POH octets of the frame being built into `f`
+    /// (all zero on entry).
+    fn write_overhead(&self, f: &mut [u8], h4_cell_offset: u8) {
         let geo = self.geo;
+        let n = geo.rate.sts_n();
 
         // Row 0: A1 ×N, A2 ×N, J0/Z0.
         for i in 0..n {
@@ -218,52 +303,6 @@ impl FrameBuilder {
         f[geo.index(1, poh)] = self.b3_next;
         f[geo.index(2, poh)] = C2_ATM;
         f[geo.index(5, poh)] = h4_cell_offset;
-
-        // Payload columns, row-major.
-        let mut p = 0;
-        for row in 0..9 {
-            for col in 0..cols {
-                if geo.is_payload(col) {
-                    f[geo.index(row, col)] = payload[p];
-                    p += 1;
-                }
-            }
-        }
-        debug_assert_eq!(p, payload.len());
-
-        // Parity for the NEXT frame: B3 over this SPE, B2 per slice over
-        // non-SOH octets — both pre-scrambling.
-        let mut b3 = 0u8;
-        let mut b2 = vec![0u8; n];
-        for row in 0..9 {
-            for col in 0..cols {
-                let b = f[geo.index(row, col)];
-                if geo.is_spe(col) {
-                    b3 ^= b;
-                }
-                if !geo.is_soh(row, col) {
-                    b2[col % n] ^= b;
-                }
-            }
-        }
-        self.b3_next = b3;
-        self.b2_next = b2;
-
-        // Scramble everything except row 0 of TOH.
-        let mut scr = FrameScrambler::new();
-        for row in 0..9 {
-            for col in 0..cols {
-                let key = scr.next_octet();
-                if !geo.is_unscrambled(row, col) {
-                    f[geo.index(row, col)] ^= key;
-                }
-            }
-        }
-
-        // B1 for the next frame: over this frame post-scrambling.
-        self.b1_next = bip8(0, f.iter().copied());
-        self.frame_count += 1;
-        f
     }
 }
 
@@ -282,18 +321,36 @@ pub struct ParsedFrame {
     pub h4: u8,
 }
 
+/// What a parsed frame's overhead reports: [`ParsedFrame`] without the
+/// payload, as [`FrameParser::parse_into`] returns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FrameOverhead {
+    /// Bits mismatching in B1 (0–8); section-layer errors.
+    pub b1_errors: u32,
+    /// Bits mismatching across all B2 octets; line-layer errors.
+    pub b2_errors: u32,
+    /// Bits mismatching in B3; path-layer errors.
+    pub b3_errors: u32,
+    /// The H4 cell-offset octet as received.
+    pub h4: u8,
+}
+
 /// Parses successive frames, tracking parity across them.
 pub struct FrameParser {
     geo: FrameGeometry,
     frames: u64,
-    /// Parity computed from the previous frame, to compare with the
-    /// B1/B2/B3 octets carried in the current one.
-    b1_expect: Option<u8>,
-    b2_expect: Option<Vec<u8>>,
-    b3_expect: Option<u8>,
+    /// Whether a previous frame has set the parity expectations below,
+    /// which are compared with the B1/B2/B3 octets the current frame
+    /// carries.
+    primed: bool,
+    b1_expect: u8,
+    b2_expect: Vec<u8>,
+    b3_expect: u8,
     total_b1_errors: u64,
     total_b2_errors: u64,
     total_b3_errors: u64,
+    /// The descrambled frame, reused across frames.
+    scratch: Vec<u8>,
 }
 
 impl FrameParser {
@@ -302,12 +359,14 @@ impl FrameParser {
         FrameParser {
             geo: FrameGeometry::new(rate),
             frames: 0,
-            b1_expect: None,
-            b2_expect: None,
-            b3_expect: None,
+            primed: false,
+            b1_expect: 0,
+            b2_expect: vec![0; rate.sts_n()],
+            b3_expect: 0,
             total_b1_errors: 0,
             total_b2_errors: 0,
             total_b3_errors: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -330,39 +389,49 @@ impl FrameParser {
 
     /// Parse one aligned frame.
     pub fn parse(&mut self, frame: &[u8]) -> Result<ParsedFrame, FrameError> {
-        let rate = self.geo.rate;
+        let mut payload = Vec::new();
+        let o = self.parse_into(frame, &mut payload)?;
+        Ok(ParsedFrame {
+            payload,
+            b1_errors: o.b1_errors,
+            b2_errors: o.b2_errors,
+            b3_errors: o.b3_errors,
+            h4: o.h4,
+        })
+    }
+
+    /// [`FrameParser::parse`] into a caller-owned buffer: the payload is
+    /// appended to `payload` (left untouched on error), so a receiver
+    /// reusing one buffer parses without allocating.
+    pub(crate) fn parse_into(
+        &mut self,
+        frame: &[u8],
+        payload: &mut Vec<u8>,
+    ) -> Result<FrameOverhead, FrameError> {
+        let geo = self.geo;
+        let rate = geo.rate;
         let n = rate.sts_n();
-        let cols = rate.columns();
         if frame.len() != rate.frame_octets() {
             return Err(FrameError::BadSize {
                 expected: rate.frame_octets(),
                 got: frame.len(),
             });
         }
-        let geo = self.geo;
 
         // Alignment check on the unscrambled row 0.
-        for i in 0..n {
-            if frame[geo.index(0, i)] != A1 || frame[geo.index(0, n + i)] != A2 {
-                return Err(FrameError::BadAlignment);
-            }
+        if frame[..n].iter().any(|&b| b != A1) || frame[n..2 * n].iter().any(|&b| b != A2) {
+            return Err(FrameError::BadAlignment);
         }
 
         // B1 compares against the received (still-scrambled) previous
         // frame; compute over this frame as received for the next round.
-        let b1_of_this = bip8(0, frame.iter().copied());
+        let b1_of_this = bip8(frame);
 
-        // Descramble a working copy.
-        let mut f = frame.to_vec();
-        let mut scr = FrameScrambler::new();
-        for row in 0..9 {
-            for col in 0..cols {
-                let key = scr.next_octet();
-                if !geo.is_unscrambled(row, col) {
-                    f[geo.index(row, col)] ^= key;
-                }
-            }
-        }
+        // Descramble into the reused working copy.
+        let f = &mut self.scratch;
+        f.clear();
+        f.extend_from_slice(frame);
+        scramble_frame(rate, f);
 
         // Pointer sanity.
         let h1 = f[geo.index(3, 0)];
@@ -384,55 +453,39 @@ impl FrameParser {
         let h4 = f[geo.index(5, poh)];
 
         // Parity comparison with what the previous frame predicted.
-        let b1_errors = match self.b1_expect {
-            Some(exp) => (exp ^ f[geo.index(1, 0)]).count_ones(),
-            None => 0,
-        };
-        let b2_errors = match &self.b2_expect {
-            Some(exp) => (0..n)
-                .map(|i| (exp[i] ^ f[geo.index(4, i)]).count_ones())
-                .sum(),
-            None => 0,
-        };
-        let b3_errors = match self.b3_expect {
-            Some(exp) => (exp ^ f[geo.index(1, poh)]).count_ones(),
-            None => 0,
+        let (b1_errors, b2_errors, b3_errors) = if self.primed {
+            let b2_at = geo.index(4, 0);
+            (
+                (self.b1_expect ^ f[geo.index(1, 0)]).count_ones(),
+                self.b2_expect
+                    .iter()
+                    .zip(&f[b2_at..b2_at + n])
+                    .map(|(e, b)| (e ^ b).count_ones())
+                    .sum(),
+                (self.b3_expect ^ f[geo.index(1, poh)]).count_ones(),
+            )
+        } else {
+            (0, 0, 0)
         };
 
-        // Compute this frame's parity for the next comparison.
-        let mut b3 = 0u8;
-        let mut b2 = vec![0u8; n];
-        for row in 0..9 {
-            for col in 0..cols {
-                let b = f[geo.index(row, col)];
-                if geo.is_spe(col) {
-                    b3 ^= b;
-                }
-                if !geo.is_soh(row, col) {
-                    b2[col % n] ^= b;
-                }
-            }
-        }
-        self.b1_expect = Some(b1_of_this);
-        self.b2_expect = Some(b2);
-        self.b3_expect = Some(b3);
+        // This frame's parity, for the next comparison.
+        self.primed = true;
+        self.b1_expect = b1_of_this;
+        self.b3_expect = spe_bip8(geo, f);
+        b2_fold(geo, f, &mut self.b2_expect);
 
-        // Extract payload.
-        let mut payload = Vec::with_capacity(rate.payload_octets_per_frame());
-        for row in 0..9 {
-            for col in 0..cols {
-                if geo.is_payload(col) {
-                    payload.push(f[geo.index(row, col)]);
-                }
-            }
+        // Extract payload: the tail of every row.
+        let first = geo.payload_col();
+        payload.reserve(rate.payload_octets_per_frame());
+        for row in f.chunks_exact(rate.columns()) {
+            payload.extend_from_slice(&row[first..]);
         }
 
         self.frames += 1;
         self.total_b1_errors += b1_errors as u64;
         self.total_b2_errors += b2_errors as u64;
         self.total_b3_errors += b3_errors as u64;
-        Ok(ParsedFrame {
-            payload,
+        Ok(FrameOverhead {
             b1_errors,
             b2_errors,
             b3_errors,
@@ -444,6 +497,294 @@ impl FrameParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scramble::{KEYSTREAM, PERIOD};
+
+    /// The per-octet reference for [`FrameBuilder::build`]: every
+    /// octet's class tested against the geometry, parity and scrambling
+    /// one octet at a time.
+    fn reference_build(b: &mut FrameBuilder, payload: &[u8], h4_cell_offset: u8) -> Vec<u8> {
+        let geo = b.geo;
+        let rate = geo.rate;
+        let n = rate.sts_n();
+        let cols = rate.columns();
+        assert_eq!(payload.len(), rate.payload_octets_per_frame());
+        let mut f = vec![0u8; rate.frame_octets()];
+        b.write_overhead(&mut f, h4_cell_offset);
+
+        let mut p = 0;
+        for row in 0..9 {
+            for col in 0..cols {
+                if geo.is_payload(col) {
+                    f[geo.index(row, col)] = payload[p];
+                    p += 1;
+                }
+            }
+        }
+        assert_eq!(p, payload.len());
+
+        let mut b3 = 0u8;
+        let mut b2 = vec![0u8; n];
+        for row in 0..9 {
+            for col in 0..cols {
+                let o = f[geo.index(row, col)];
+                if geo.is_spe(col) {
+                    b3 ^= o;
+                }
+                if !geo.is_soh(row, col) {
+                    b2[col % n] ^= o;
+                }
+            }
+        }
+        b.b3_next = b3;
+        b.b2_next = b2;
+
+        let mut scr = FrameScrambler::new();
+        for row in 0..9 {
+            for col in 0..cols {
+                let key = scr.next_octet();
+                if !geo.is_unscrambled(row, col) {
+                    f[geo.index(row, col)] ^= key;
+                }
+            }
+        }
+
+        b.b1_next = f.iter().fold(0, |a, &o| a ^ o);
+        b.frame_count += 1;
+        f
+    }
+
+    /// The per-octet reference for [`FrameParser::parse`].
+    fn reference_parse(p: &mut FrameParser, frame: &[u8]) -> Result<ParsedFrame, FrameError> {
+        let geo = p.geo;
+        let rate = geo.rate;
+        let n = rate.sts_n();
+        let cols = rate.columns();
+        if frame.len() != rate.frame_octets() {
+            return Err(FrameError::BadSize {
+                expected: rate.frame_octets(),
+                got: frame.len(),
+            });
+        }
+        for i in 0..n {
+            if frame[geo.index(0, i)] != A1 || frame[geo.index(0, n + i)] != A2 {
+                return Err(FrameError::BadAlignment);
+            }
+        }
+        let b1_of_this = frame.iter().fold(0, |a, &o| a ^ o);
+
+        let mut f = frame.to_vec();
+        let mut scr = FrameScrambler::new();
+        for row in 0..9 {
+            for col in 0..cols {
+                let key = scr.next_octet();
+                if !geo.is_unscrambled(row, col) {
+                    f[geo.index(row, col)] ^= key;
+                }
+            }
+        }
+
+        if (f[geo.index(3, 0)], f[geo.index(3, n)]) != (H1_LOCKED, H2_LOCKED) {
+            return Err(FrameError::BadPointer);
+        }
+        for i in 1..n {
+            if (f[geo.index(3, i)], f[geo.index(3, n + i)]) != (H1_CONCAT, H2_CONCAT) {
+                return Err(FrameError::BadPointer);
+            }
+        }
+        let poh = geo.poh_col();
+        let c2 = f[geo.index(2, poh)];
+        if c2 != C2_ATM {
+            return Err(FrameError::BadSignalLabel(c2));
+        }
+        let h4 = f[geo.index(5, poh)];
+
+        let (b1_errors, b2_errors, b3_errors) = if p.primed {
+            (
+                (p.b1_expect ^ f[geo.index(1, 0)]).count_ones(),
+                (0..n)
+                    .map(|i| (p.b2_expect[i] ^ f[geo.index(4, i)]).count_ones())
+                    .sum(),
+                (p.b3_expect ^ f[geo.index(1, poh)]).count_ones(),
+            )
+        } else {
+            (0, 0, 0)
+        };
+
+        let mut b3 = 0u8;
+        let mut b2 = vec![0u8; n];
+        for row in 0..9 {
+            for col in 0..cols {
+                let o = f[geo.index(row, col)];
+                if geo.is_spe(col) {
+                    b3 ^= o;
+                }
+                if !geo.is_soh(row, col) {
+                    b2[col % n] ^= o;
+                }
+            }
+        }
+        p.primed = true;
+        p.b1_expect = b1_of_this;
+        p.b2_expect = b2;
+        p.b3_expect = b3;
+
+        let mut payload = Vec::new();
+        for row in 0..9 {
+            for col in 0..cols {
+                if geo.is_payload(col) {
+                    payload.push(f[geo.index(row, col)]);
+                }
+            }
+        }
+
+        p.frames += 1;
+        p.total_b1_errors += b1_errors as u64;
+        p.total_b2_errors += b2_errors as u64;
+        p.total_b3_errors += b3_errors as u64;
+        Ok(ParsedFrame {
+            payload,
+            b1_errors,
+            b2_errors,
+            b3_errors,
+            h4,
+        })
+    }
+
+    /// Tiny deterministic generator (xorshift).
+    struct Xs(u64);
+
+    impl Xs {
+        fn new(seed: u64) -> Self {
+            Xs(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+        }
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    fn assert_same_builder(a: &FrameBuilder, b: &FrameBuilder, what: &str) {
+        assert_eq!(a.frame_count, b.frame_count, "{what}");
+        assert_eq!(a.b1_next, b.b1_next, "B1 {what}");
+        assert_eq!(a.b2_next, b.b2_next, "B2 {what}");
+        assert_eq!(a.b3_next, b.b3_next, "B3 {what}");
+    }
+
+    fn assert_same_parser(a: &FrameParser, b: &FrameParser, what: &str) {
+        assert_eq!(a.frames, b.frames, "{what}");
+        assert_eq!(a.primed, b.primed, "{what}");
+        assert_eq!(a.b1_expect, b.b1_expect, "B1 {what}");
+        assert_eq!(a.b2_expect, b.b2_expect, "B2 {what}");
+        assert_eq!(a.b3_expect, b.b3_expect, "B3 {what}");
+        assert_eq!(a.total_b1_errors, b.total_b1_errors, "B1 total {what}");
+        assert_eq!(a.total_b2_errors, b.total_b2_errors, "B2 total {what}");
+        assert_eq!(a.total_b3_errors, b.total_b3_errors, "B3 total {what}");
+    }
+
+    /// Damage `frame`: random octets anywhere, or aimed at the A1/A2,
+    /// pointer, C2, B1/B2/B3 and H4 octets so every error path and
+    /// parity counter is reached.
+    fn corrupt(rng: &mut Xs, geo: FrameGeometry, frame: &mut [u8]) {
+        let n = geo.rate.sts_n();
+        let poh = geo.poh_col();
+        for _ in 0..1 + rng.below(3) {
+            let idx = match rng.below(8) {
+                0 => geo.index(0, rng.below(2 * n)),
+                1 => geo.index(3, rng.below(2 * n)),
+                2 => geo.index(2, poh),
+                3 => geo.index(1, 0),
+                4 => geo.index(4, rng.below(n)),
+                5 => geo.index(1 + 4 * rng.below(2), poh),
+                _ => rng.below(frame.len()),
+            };
+            frame[idx] ^= (1 << rng.below(8)) | (rng.next() as u8 & rng.next() as u8);
+        }
+    }
+
+    #[test]
+    fn slice_build_and_parse_match_the_per_octet_reference() {
+        let rates = [
+            LineRate::Oc3,
+            LineRate::Oc12,
+            LineRate::Oc48,
+            LineRate::Oc192,
+        ];
+        // Outcomes seen: parity errors reported, then each error variant.
+        let mut seen = [0u32; 5];
+        for (r, &rate) in rates.iter().enumerate() {
+            let geo = FrameGeometry::new(rate);
+            let frames = if rate == LineRate::Oc192 { 6 } else { 24 };
+            for seed in 0..3u64 {
+                let mut rng = Xs::new(seed * 10 + r as u64);
+                let (mut fast_b, mut ref_b) = (FrameBuilder::new(rate), FrameBuilder::new(rate));
+                let (mut fast_p, mut ref_p) = (FrameParser::new(rate), FrameParser::new(rate));
+                let mut into = Vec::new();
+                for k in 0..frames {
+                    let what = format!("{rate:?} seed {seed} frame {k}");
+                    let payload: Vec<u8> = (0..rate.payload_octets_per_frame())
+                        .map(|_| rng.next() as u8)
+                        .collect();
+                    let h4 = rng.below(53) as u8;
+                    let frame = fast_b.build(&payload, h4);
+                    assert_eq!(frame, reference_build(&mut ref_b, &payload, h4), "{what}");
+                    assert_same_builder(&fast_b, &ref_b, &what);
+
+                    let mut rx = frame;
+                    match rng.below(4) {
+                        0 => corrupt(&mut rng, geo, &mut rx),
+                        1 if k % 7 == 3 => rx.truncate(rng.below(rx.len())),
+                        _ => {}
+                    }
+                    let fast = fast_p.parse(&rx);
+                    let slow = reference_parse(&mut ref_p, &rx);
+                    match (&fast, &slow) {
+                        (Ok(a), Ok(b)) => {
+                            seen[0] += (a.b1_errors + a.b2_errors + a.b3_errors > 0) as u32;
+                            assert_eq!(a.payload, b.payload, "{what}");
+                            assert_eq!(
+                                (a.b1_errors, a.b2_errors, a.b3_errors, a.h4),
+                                (b.b1_errors, b.b2_errors, b.b3_errors, b.h4),
+                                "{what}"
+                            );
+                        }
+                        (Err(a), Err(b)) => {
+                            seen[1 + match a {
+                                FrameError::BadSize { .. } => 0,
+                                FrameError::BadAlignment => 1,
+                                FrameError::BadPointer => 2,
+                                FrameError::BadSignalLabel(_) => 3,
+                            }] += 1;
+                            assert_eq!(a, b, "{what}");
+                        }
+                        _ => panic!("{what}: {fast:?} vs {slow:?}"),
+                    }
+                    assert_same_parser(&fast_p, &ref_p, &what);
+
+                    // `parse_into` appends the same payload and leaves the
+                    // buffer alone on error.
+                    let mut again = FrameParser::new(rate);
+                    into.clear();
+                    into.push(0xA5);
+                    match again.parse_into(&rx, &mut into) {
+                        Ok(_) => assert_eq!(&into[1..], &fast.as_ref().unwrap().payload[..]),
+                        Err(e) => {
+                            assert_eq!(Err(e), fast.as_ref().map(|_| ()).map_err(|e| *e));
+                            assert_eq!(into, [0xA5]);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "outcomes not all reached: {seen:?}"
+        );
+    }
 
     fn payload_for(rate: LineRate, seed: u8) -> Vec<u8> {
         (0..rate.payload_octets_per_frame())
@@ -563,16 +904,11 @@ mod tests {
         let rate = LineRate::Oc3;
         let mut b = FrameBuilder::new(rate);
         let mut frame = b.build(&payload_for(rate, 0), 0);
-        // Flip C2 through the scrambler: locate and XOR both.
+        // Set C2 to 0xFF pre-scramble: XOR in the keystream octet of its
+        // position.
         let geo = FrameGeometry::new(rate);
-        let mut scr = FrameScrambler::new();
-        let mut keys = vec![0u8; rate.frame_octets()];
-        for k in keys.iter_mut() {
-            *k = scr.next_octet();
-        }
         let idx = geo.index(2, geo.poh_col());
-        frame[idx] = 0xFF ^ keys[idx] ^ (C2_ATM ^ C2_ATM); // set to 0xFF pre-scramble
-        frame[idx] = 0xFF ^ keys[idx];
+        frame[idx] = 0xFF ^ KEYSTREAM[idx % PERIOD];
         let mut p = FrameParser::new(rate);
         assert!(matches!(
             p.parse(&frame),

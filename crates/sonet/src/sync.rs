@@ -92,6 +92,12 @@ impl FrameAligner {
     /// Feed octets; complete frames (each exactly one frame long,
     /// starting at the first A1) are appended to `out`.
     pub fn push(&mut self, bytes: &[u8], out: &mut Vec<Vec<u8>>) {
+        self.push_each(bytes, |frame| out.push(frame.to_vec()));
+    }
+
+    /// [`FrameAligner::push`] without a copy per frame: each complete
+    /// frame is handed to `emit` as a slice of the aligner's buffer.
+    pub(crate) fn push_each(&mut self, bytes: &[u8], mut emit: impl FnMut(&[u8])) {
         self.buf.extend_from_slice(bytes);
         loop {
             match self.state {
@@ -149,12 +155,10 @@ impl FrameAligner {
                     if self.buf.len() < flen {
                         return;
                     }
-                    let ok = self.pattern_at(0);
-                    let frame: Vec<u8> = self.buf.drain(..flen).collect();
-                    if ok {
+                    if self.pattern_at(0) {
                         self.state = FrameSyncState::Sync { misses: 0 };
                         self.frames_emitted += 1;
-                        out.push(frame);
+                        emit(&self.buf[..flen]);
                     } else {
                         let misses = misses + 1;
                         if misses >= LOF_THRESHOLD {
@@ -165,9 +169,10 @@ impl FrameAligner {
                             // alignment and still deliver.
                             self.state = FrameSyncState::Sync { misses };
                             self.frames_emitted += 1;
-                            out.push(frame);
+                            emit(&self.buf[..flen]);
                         }
                     }
+                    self.buf.drain(..flen);
                 }
             }
         }

@@ -28,16 +28,18 @@
 use crate::frame::{FrameBuilder, FrameParser};
 use crate::rates::LineRate;
 use crate::sync::FrameAligner;
-use hni_atm::{Cell, Delineator, Descrambler, Scrambler, CELL_SIZE, PAYLOAD_SIZE};
-use std::collections::VecDeque;
+use hni_atm::{Cell, Delineator, Descrambler, Scrambler, CELL_SIZE, HEADER_SIZE};
 
 /// Cells → frames.
 pub struct TcTransmitter {
     rate: LineRate,
     builder: FrameBuilder,
     scrambler: Scrambler,
-    /// Octet queue awaiting frame payload slots (already scrambled).
-    queue: VecDeque<u8>,
+    /// Scrambled octets awaiting frame payload slots: `queue[head..]`.
+    /// Frames read their payload straight out of it; the consumed
+    /// prefix is dropped once it outgrows what is left.
+    queue: Vec<u8>,
+    head: usize,
     /// Octets consumed into frames so far (for H4 phase).
     consumed: u64,
     data_cells: u64,
@@ -51,7 +53,8 @@ impl TcTransmitter {
             rate,
             builder: FrameBuilder::new(rate),
             scrambler: Scrambler::new(),
-            queue: VecDeque::new(),
+            queue: Vec::new(),
+            head: 0,
             consumed: 0,
             data_cells: 0,
             idle_cells: 0,
@@ -68,22 +71,19 @@ impl TcTransmitter {
     }
     /// Octets currently queued (cells waiting for payload slots).
     pub fn backlog_octets(&self) -> usize {
-        self.queue.len()
+        self.queue.len() - self.head
     }
     /// Cells currently queued.
     pub fn backlog_cells(&self) -> usize {
-        self.queue.len() / CELL_SIZE
+        self.backlog_octets() / CELL_SIZE
     }
 
     fn enqueue(&mut self, cell: &Cell) {
-        let bytes = cell.as_bytes();
-        // Header in the clear.
-        self.queue.extend(&bytes[..5]);
-        // Payload through the stream scrambler.
-        let mut payload = [0u8; PAYLOAD_SIZE];
-        payload.copy_from_slice(&bytes[5..]);
-        self.scrambler.scramble(&mut payload);
-        self.queue.extend(payload.iter());
+        let at = self.queue.len();
+        self.queue.extend_from_slice(cell.as_bytes());
+        // Header in the clear; payload through the stream scrambler, in
+        // place.
+        self.scrambler.scramble(&mut self.queue[at + HEADER_SIZE..]);
     }
 
     /// Queue a data cell for transmission.
@@ -96,12 +96,13 @@ impl TcTransmitter {
     /// queue cannot fill the payload.
     pub fn pull_frame(&mut self) -> Vec<u8> {
         let need = self.rate.payload_octets_per_frame();
-        while self.queue.len() < need {
+        while self.backlog_octets() < need {
             let idle = Cell::idle();
             self.idle_cells += 1;
             self.enqueue(&idle);
         }
-        let payload: Vec<u8> = self.queue.drain(..need).collect();
+        let payload = &self.queue[self.head..self.head + need];
+        self.head += need;
         self.consumed += need as u64;
         // Offset from the next frame's first payload octet to the next
         // cell boundary.
@@ -111,7 +112,12 @@ impl TcTransmitter {
         } else {
             CELL_SIZE as u8 - phase
         };
-        self.builder.build(&payload, h4)
+        let frame = self.builder.build(payload, h4);
+        if self.head >= self.queue.len() - self.head {
+            self.queue.drain(..self.head);
+            self.head = 0;
+        }
+        frame
     }
 }
 
@@ -124,8 +130,8 @@ pub struct TcReceiver {
     frame_errors: u64,
     data_cells: u64,
     idle_cells: u64,
-    /// Reusable frame scratch (outer Vec capacity persists across calls).
-    frames: Vec<Vec<u8>>,
+    /// Reusable payload scratch for one frame.
+    payload: Vec<u8>,
     /// Reusable delineated-cell scratch.
     cells: Vec<Cell>,
 }
@@ -141,7 +147,7 @@ impl TcReceiver {
             frame_errors: 0,
             data_cells: 0,
             idle_cells: 0,
-            frames: Vec::new(),
+            payload: Vec::new(),
             cells: Vec::new(),
         }
     }
@@ -174,26 +180,21 @@ impl TcReceiver {
     /// Feed received line octets; recovered data cells are appended to
     /// `out`.
     pub fn push_bytes(&mut self, bytes: &[u8], out: &mut Vec<Cell>) {
-        let mut frames = std::mem::take(&mut self.frames);
-        frames.clear();
-        self.aligner.push(bytes, &mut frames);
-        let mut cells = std::mem::take(&mut self.cells);
+        let (parser, delineator) = (&mut self.parser, &mut self.delineator);
+        let (payload, cells) = (&mut self.payload, &mut self.cells);
+        let frame_errors = &mut self.frame_errors;
         cells.clear();
-        for frame in &frames {
-            match self.parser.parse(frame) {
-                Ok(parsed) => self.delineator.push_slice(&parsed.payload, &mut cells),
-                Err(_) => {
-                    // Skip the frame; the delineator simply sees a gap in
-                    // the payload stream (as hardware would on a bad frame).
-                    self.frame_errors += 1;
-                }
+        self.aligner.push_each(bytes, |frame| {
+            payload.clear();
+            match parser.parse_into(frame, payload) {
+                Ok(_) => delineator.push_slice(payload, cells),
+                // Skip the frame; the delineator simply sees a gap in the
+                // payload stream (as hardware would on a bad frame).
+                Err(_) => *frame_errors += 1,
             }
-        }
+        });
         for mut cell in cells.drain(..) {
-            let mut payload = [0u8; PAYLOAD_SIZE];
-            payload.copy_from_slice(cell.payload());
-            self.descrambler.descramble(&mut payload);
-            cell.payload_mut().copy_from_slice(&payload);
+            self.descrambler.descramble(cell.payload_mut());
             if cell.is_idle() || cell.is_unassigned() {
                 self.idle_cells += 1;
             } else {
@@ -201,15 +202,13 @@ impl TcReceiver {
                 out.push(cell);
             }
         }
-        self.frames = frames;
-        self.cells = cells;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hni_atm::{HeaderRepr, VcId};
+    use hni_atm::{HeaderRepr, VcId, PAYLOAD_SIZE};
 
     fn data_cell(vci: u16, fill: u8) -> Cell {
         Cell::new(

@@ -9,6 +9,8 @@
 //! 3. The steady-state segmentation → link → reassembly loop performs
 //!    zero heap allocations and zero slab growth after warm-up,
 //!    proven by a counting global allocator.
+//! 4. One steady-state frame through a byte-exact `Nic` pair allocates
+//!    exactly once: the frame `Nic::frame_tick` returns.
 //!
 //! The allocation counter is per thread (`tests/common/count_alloc.rs`)
 //! so the other tests in this binary — which allocate freely on their
@@ -19,7 +21,9 @@ use hni_aal::aal5::{self, Aal5Reassembler};
 use hni_atm::{CellSlab, VcId};
 use hni_bench::experiments::{rf1_tx_throughput, rt3_memory, rt4_pacing};
 use hni_bench::par_sweep_with_jobs;
+use hni_core::{Nic, NicConfig, NicEvent};
 use hni_sim::{Duration, FaultPlan, Link, LinkDelivery, Rng, Time};
+use hni_sonet::LineRate;
 use hni_telemetry::Observer;
 #[path = "common/count_alloc.rs"]
 mod count_alloc;
@@ -268,4 +272,75 @@ fn steady_state_e2e_zero_allocations_zero_slab_growth() {
         "slab grew after warm-up"
     );
     assert_eq!(slab.high_water(), high_water, "slab high-water moved");
+}
+
+#[test]
+fn steady_state_nic_frame_allocates_only_the_returned_frame() {
+    // Two Nics back to back at OC-12, 9180-octet SDUs keeping every
+    // payload slot full. The SDUs handed to `send` are built outside the
+    // counted window (the caller owns them), and delivered SDU buffers
+    // go back to B's reassembler. Inside the window the transmit queue,
+    // framer, aligner, parser, delineator and descrambler all reuse
+    // their buffers; the one allocation left is the frame `frame_tick`
+    // returns by value.
+    let rate = LineRate::Oc12;
+    let vc = VcId::new(0, 32);
+    let cfg = NicConfig::paper(rate);
+    let (mut a, mut b) = (Nic::new(cfg.clone()), Nic::new(cfg));
+    a.open_vc(vc).unwrap();
+    b.open_vc(vc).unwrap();
+    let sdu: Vec<u8> = (0..9180).map(|i| (i % 251) as u8).collect();
+    let need = rate.payload_octets_per_frame();
+    let mut now = Time::ZERO;
+    let mut delivered = 0;
+    let mut frame = |a: &mut Nic, b: &mut Nic, now: Time| {
+        let mut ready: Vec<Vec<u8>> = (0..2).map(|_| sdu.clone()).collect();
+        let (_, n) = allocs_during(|| {
+            while a.tx_backlog_cells() * hni_atm::CELL_SIZE < need {
+                a.send(vc, ready.pop().expect("two SDUs cover a frame"), now)
+                    .unwrap();
+            }
+            let line = a.frame_tick();
+            b.receive_line_octets(&line, now);
+            while let Some(ev) = b.poll() {
+                match ev {
+                    NicEvent::PacketReceived { data, .. } => {
+                        assert_eq!(data, sdu);
+                        delivered += 1;
+                        b.recycle_sdu_buffer(data);
+                    }
+                    other => panic!("clean line delivered {other:?}"),
+                }
+            }
+        });
+        n
+    };
+    // Idle frames until B aligns and delineates, then data frames until
+    // every buffer is at its working capacity.
+    for _ in 0..64 {
+        if b.tc_receiver().delineator().is_synced() {
+            break;
+        }
+        let line = a.frame_tick();
+        b.receive_line_octets(&line, now);
+        now += rate.frame_time();
+    }
+    assert!(b.tc_receiver().delineator().is_synced());
+    for _ in 0..64 {
+        frame(&mut a, &mut b, now);
+        now += rate.frame_time();
+    }
+    let counts: Vec<u64> = (0..106)
+        .map(|_| {
+            let n = frame(&mut a, &mut b, now);
+            now += rate.frame_time();
+            n
+        })
+        .collect();
+    assert!(delivered > 0, "the pair must deliver SDUs");
+    assert!(
+        counts.iter().all(|&n| n == 1),
+        "per-frame allocations {counts:?}"
+    );
+    assert_eq!(b.tc_receiver().parser().total_b1_errors(), 0);
 }

@@ -33,7 +33,7 @@ cargo run -q -p hni-bench --bin report --release -- perf --fast bench_perf_smoke
 for key in '"schema": "hni-bench-perf/2"' '"hot_loops"' '"cells_per_sec"' \
            '"speedup"' '"cores"' '"jobs"' \
            'aal5_sar_slab' 'hec_delineation' 'rx_reassembly' 'e2e_cells' \
-           'vc_lookup' 'nic_line_oc12'; do
+           'vc_lookup' 'nic_line_oc12' 'nic_line_oc48'; do
     grep -q "$key" bench_perf_smoke.json || {
         echo "BENCH_PERF schema: missing $key" >&2; exit 1; }
 done

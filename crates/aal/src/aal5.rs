@@ -17,13 +17,17 @@
 //! cell is only discovered at frame end, by the CRC-32/Length check, and
 //! costs the whole frame.
 //!
-//! The reassembler here is per-VC. Cell interleaving across frames on one
-//! VC is impossible in AAL5 by construction (no MID field), which the
-//! error taxonomy reflects.
+//! Reassembly is per-VC. Cell interleaving across frames on one VC is
+//! impossible in AAL5 by construction (no MID field), which the error
+//! taxonomy reflects. The per-frame work is one kernel, [`Aal5Kernel`]
+//! over [`Aal5Frame`]; [`Aal5Reassembler`] keeps its frames by VC, and a
+//! NIC can keep them by the connection index its CAM returns.
 
-use crate::crc::{crc32, Crc32Accumulator};
+use crate::crc::Crc32Accumulator;
 use crate::{ReassembledSdu, ReassemblyError, ReassemblyFailure, ReassemblyOutcome};
-use hni_atm::{Cell, CellRef, CellSlab, HeaderRepr, VcId, VcTable, PAYLOAD_SIZE};
+use hni_atm::{
+    Cell, CellRef, CellSlab, HeaderRepr, Pti, VcId, VcTable, CELL_SIZE, HEADER_SIZE, PAYLOAD_SIZE,
+};
 use hni_sim::{Duration, Time};
 
 /// CPCS trailer size in octets.
@@ -34,10 +38,8 @@ pub const MAX_SDU: usize = 65535;
 /// Cells in the largest possible CPCS-PDU.
 pub const MAX_CELLS: usize = (MAX_SDU + TRAILER_SIZE).div_ceil(PAYLOAD_SIZE); // 1366
 
-/// All-zero pad source (the pad is at most 47 octets).
-const ZERO_PAD: [u8; PAYLOAD_SIZE] = [0u8; PAYLOAD_SIZE];
-
-/// Reassembly buffers kept for reuse; beyond this they are dropped.
+/// Reassembly buffers the pool may keep even if fewer were ever out at
+/// once.
 const SPARE_POOL_LIMIT: usize = 64;
 
 /// Segment an SDU into ATM cells on `vc`.
@@ -64,7 +66,10 @@ const SPARE_POOL_LIMIT: usize = 64;
 pub fn segment(vc: VcId, sdu: &[u8], uu: u8) -> Vec<Cell> {
     let mut cells = Vec::with_capacity(crate::AalType::Aal5.cells_for_sdu(sdu.len()));
     segment_with(vc, sdu, uu, |header, payload| {
-        cells.push(Cell::new(header, payload).expect("UNI header for user VC is always encodable"));
+        let mut bytes = [0u8; CELL_SIZE];
+        bytes[..HEADER_SIZE].copy_from_slice(header);
+        bytes[HEADER_SIZE..].copy_from_slice(payload);
+        cells.push(Cell::from_bytes(bytes));
     });
     cells
 }
@@ -78,9 +83,9 @@ pub fn segment(vc: VcId, sdu: &[u8], uu: u8) -> Vec<Cell> {
 pub fn segment_into(vc: VcId, sdu: &[u8], uu: u8, slab: &mut CellSlab, out: &mut Vec<CellRef>) {
     segment_with(vc, sdu, uu, |header, payload| {
         let (r, cell) = slab.alloc_mut();
-        cell.set_header(header)
-            .expect("UNI header for user VC is always encodable");
-        cell.payload_mut().copy_from_slice(payload);
+        let bytes = cell.as_bytes_mut();
+        bytes[..HEADER_SIZE].copy_from_slice(header);
+        bytes[HEADER_SIZE..].copy_from_slice(payload);
         out.push(r);
     });
 }
@@ -101,50 +106,62 @@ pub fn segment_burst(
     }
 }
 
-/// The segmentation core: computes the CPCS trailer and emits each
-/// 48-octet payload (with its header repr) through `emit`. Both the
-/// `Vec<Cell>` path and the slab path share this, which is what makes
-/// them byte-identical by construction.
+/// The segmentation core: emits each cell as its 5 header octets and
+/// 48 payload octets through `emit`. Both the `Vec<Cell>` path and the
+/// slab path share this, which is what makes them byte-identical by
+/// construction.
+///
+/// Per-SDU work is done once, as the paper's transmit assists do it:
+/// both headers (mid-frame, and end-of-frame with the PTI user bit set)
+/// are encoded with their HEC before the first cell. Every full cell
+/// of SDU octets then goes out as one 48-octet slice, its CRC-32 folded
+/// on the way; only the last one or two cells are assembled, from the
+/// SDU tail, the zero pad and the trailer.
 fn segment_with(
     vc: VcId,
     sdu: &[u8],
     uu: u8,
-    mut emit: impl FnMut(&HeaderRepr, &[u8; PAYLOAD_SIZE]),
+    mut emit: impl FnMut(&[u8; HEADER_SIZE], &[u8; PAYLOAD_SIZE]),
 ) {
     assert!(sdu.len() <= MAX_SDU, "SDU exceeds AAL5 maximum");
-    let total = cpcs_pdu_len(sdu.len());
-    let n_cells = total / PAYLOAD_SIZE;
-    let pad = total - sdu.len() - TRAILER_SIZE;
+    let [mid, end] = [false, true].map(|last| {
+        let mut h = [0u8; HEADER_SIZE];
+        HeaderRepr::data(vc, last)
+            .emit(&mut h)
+            .expect("UNI header for user VC is always encodable");
+        h
+    });
 
-    // Build the trailer; CRC covers SDU ∥ pad ∥ first 4 trailer octets.
+    // Whole cells of SDU octets: never the last cell, which always
+    // holds the trailer.
     let mut crc = Crc32Accumulator::new();
-    crc.update(sdu);
-    crc.update(&ZERO_PAD[..pad]);
-    let mut trailer = [0u8; TRAILER_SIZE];
+    let mut cells = sdu.chunks_exact(PAYLOAD_SIZE);
+    for chunk in &mut cells {
+        crc.update(chunk);
+        emit(
+            &mid,
+            chunk.try_into().expect("chunks_exact yields whole cells"),
+        );
+    }
+
+    // The SDU tail, zero pad and trailer fill one or two more cells.
+    // CRC covers SDU ∥ pad ∥ the first 4 trailer octets.
+    let tail = cells.remainder();
+    let n = (tail.len() + TRAILER_SIZE).div_ceil(PAYLOAD_SIZE) * PAYLOAD_SIZE;
+    let mut last = [0u8; 2 * PAYLOAD_SIZE];
+    last[..tail.len()].copy_from_slice(tail);
+    let trailer = &mut last[n - TRAILER_SIZE..n];
     trailer[0] = uu;
     trailer[1] = 0; // CPI: must be 0
-    trailer[2] = (sdu.len() >> 8) as u8;
-    trailer[3] = sdu.len() as u8;
-    crc.update(&trailer[..4]);
-    let c = crc.finish();
-    trailer[4..].copy_from_slice(&c.to_be_bytes());
-
-    let mut payload = [0u8; PAYLOAD_SIZE];
-    for i in 0..n_cells {
-        let start = i * PAYLOAD_SIZE;
-        // Assemble this cell's 48 octets from SDU/pad/trailer regions.
-        for (j, slot) in payload.iter_mut().enumerate() {
-            let pos = start + j;
-            *slot = if pos < sdu.len() {
-                sdu[pos]
-            } else if pos < sdu.len() + pad {
-                0
-            } else {
-                trailer[pos - sdu.len() - pad]
-            };
-        }
-        let last = i == n_cells - 1;
-        emit(&HeaderRepr::data(vc, last), &payload);
+    trailer[2..4].copy_from_slice(&(sdu.len() as u16).to_be_bytes());
+    crc.update(&last[..n - 4]);
+    last[n - 4..n].copy_from_slice(&crc.finish().to_be_bytes());
+    let (first, second) = last.split_at(PAYLOAD_SIZE);
+    if n == PAYLOAD_SIZE {
+        emit(&end, first.try_into().expect("one cell"));
+    } else {
+        emit(&mid, first.try_into().expect("one cell"));
+        emit(&end, second.try_into().expect("one cell"));
     }
 }
 
@@ -153,58 +170,180 @@ pub fn cpcs_pdu_len(len: usize) -> usize {
     (len + TRAILER_SIZE).div_ceil(PAYLOAD_SIZE) * PAYLOAD_SIZE
 }
 
-/// Per-VC reassembly state.
-struct VcState {
+/// One AAL5 frame under reassembly: the CPCS-PDU octets received so
+/// far, the CRC-32 folded over them one cell at a time, and when the
+/// first cell arrived.
+///
+/// Frames are created by [`Aal5Kernel::open`] and fed by
+/// [`Aal5Kernel::push`]; where they live — keyed by VC in an
+/// [`Aal5Reassembler`], or by connection index in a NIC's own arena —
+/// is the container's business.
+#[derive(Debug)]
+pub struct Aal5Frame {
     buf: Vec<u8>,
-    cells: usize,
+    crc: Crc32Accumulator,
     started_at: Time,
 }
 
-/// AAL5 reassembler for any number of VCs.
+impl Aal5Frame {
+    /// Octets buffered so far.
+    pub fn buffered_octets(&self) -> usize {
+        self.buf.len()
+    }
+}
+
+/// The AAL5 receive kernel every frame container shares: the size
+/// limit, the timeout, completion and failure counts, a pool of spare
+/// frame buffers, and the per-cell step.
 ///
-/// Offer every user-data cell via [`Aal5Reassembler::push`]; call
-/// [`Aal5Reassembler::expire`] periodically to enforce the reassembly
-/// timeout. Statistics count completions and every failure class.
-pub struct Aal5Reassembler {
-    /// Per-VC frame state in the sharded open-addressing table, keyed
-    /// on the packed 24-bit cam key — the same structure the CAM model
-    /// uses, so a million in-progress VCs cost flat lookups and ~bytes,
-    /// not `HashMap` buckets.
-    vcs: VcTable<VcState>,
+/// The per-cell step is tiny, as in the paper's receive engine: copy
+/// the payload, fold it into the frame's CRC-32 while it is hot, and
+/// only on the end-of-frame cell read the trailer. Failures are ranked
+/// as they always were: an oversize frame fails `TooLong` as soon as it
+/// passes the limit, before any CRC check, and a bad CRC-32 wins over a
+/// bad length.
+#[derive(Debug)]
+pub struct Aal5Kernel {
     max_sdu: usize,
+    /// Largest legal CPCS-PDU for `max_sdu`.
+    limit: usize,
     timeout: Duration,
     completed: u64,
     failed: u64,
     /// Retired frame buffers kept warm for reuse: a steady-state stream
     /// of frames allocates nothing per frame once the pool has seen the
     /// working set. Completed SDUs leave with their buffer; callers on
-    /// the fast path hand it back via [`Aal5Reassembler::recycle`].
+    /// the fast path hand it back via [`Aal5Kernel::recycle`].
     spare: Vec<Vec<u8>>,
+    /// Buffers out of the pool — in frames, or with delivered SDUs not
+    /// yet recycled — and the most ever out at once. The pool keeps up
+    /// to that many (at least [`SPARE_POOL_LIMIT`]), so it settles at
+    /// the working set instead of dropping buffers a later burst needs.
+    lent: usize,
+    peak_lent: usize,
 }
 
-impl Aal5Reassembler {
-    /// A reassembler accepting SDUs up to `max_sdu` octets and abandoning
+impl Aal5Kernel {
+    /// A kernel accepting SDUs up to `max_sdu` octets and abandoning
     /// frames older than `timeout`.
     pub fn new(max_sdu: usize, timeout: Duration) -> Self {
-        Aal5Reassembler {
-            vcs: VcTable::new(),
-            max_sdu: max_sdu.min(MAX_SDU),
+        let max_sdu = max_sdu.min(MAX_SDU);
+        Aal5Kernel {
+            max_sdu,
+            limit: cpcs_pdu_len(max_sdu),
             timeout,
             completed: 0,
             failed: 0,
             spare: Vec::new(),
+            lent: 0,
+            peak_lent: 0,
         }
+    }
+
+    /// Start a frame whose first cell arrives at `now`.
+    pub fn open(&mut self, now: Time) -> Aal5Frame {
+        self.lent += 1;
+        self.peak_lent = self.peak_lent.max(self.lent);
+        Aal5Frame {
+            buf: self.spare.pop().unwrap_or_default(),
+            crc: Crc32Accumulator::new(),
+            started_at: now,
+        }
+    }
+
+    /// Fold one user-data cell's 48-octet `payload` into `frame`; `last`
+    /// is the cell's PTI end-of-frame bit. Returns `None` while the
+    /// frame goes on. `Some` means the frame has ended, delivered or
+    /// failed: its buffer has left with the SDU or gone back to the pool,
+    /// and the caller must drop `frame`.
+    ///
+    /// # Panics
+    /// If `payload` is not 48 octets.
+    pub fn push(
+        &mut self,
+        frame: &mut Aal5Frame,
+        vc: VcId,
+        payload: &[u8],
+        last: bool,
+    ) -> ReassemblyOutcome {
+        let payload: &[u8; PAYLOAD_SIZE] = payload.try_into().expect("a cell payload is 48 octets");
+        frame.buf.extend_from_slice(payload);
+        if frame.buf.len() > self.limit {
+            return Some(Err(self.fail(frame, vc, ReassemblyError::TooLong)));
+        }
+        if !last {
+            frame.crc.update(payload);
+            return None;
+        }
+
+        // End of frame: the CRC covers all but its own 4 octets.
+        frame.crc.update(&payload[..PAYLOAD_SIZE - 4]);
+        let trailer = &payload[PAYLOAD_SIZE - TRAILER_SIZE..];
+        let uu = trailer[0];
+        let length = u16::from_be_bytes([trailer[2], trailer[3]]) as usize;
+        let stored_crc = u32::from_be_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
+        if frame.crc.finish() != stored_crc {
+            return Some(Err(self.fail(frame, vc, ReassemblyError::Crc32)));
+        }
+        // Length must reconstruct the same number of cells: the pad is
+        // 0..47, i.e. length + 8 must round up to exactly the PDU.
+        if length > self.max_sdu || cpcs_pdu_len(length) != frame.buf.len() {
+            return Some(Err(self.fail(frame, vc, ReassemblyError::LengthMismatch)));
+        }
+        self.completed += 1;
+        // Truncate in place: the SDU leaves with the frame buffer (same
+        // bytes as a copy, no allocation); `recycle` brings it back.
+        let mut data = std::mem::take(&mut frame.buf);
+        data.truncate(length);
+        Some(Ok(ReassembledSdu {
+            vc,
+            mid: 0,
+            data,
+            user_to_user: uu,
+        }))
+    }
+
+    /// Abandon `frame` for `error` (a timeout, or its connection
+    /// closing), returning its buffer to the pool.
+    pub fn abandon(
+        &mut self,
+        mut frame: Aal5Frame,
+        vc: VcId,
+        error: ReassemblyError,
+    ) -> ReassemblyFailure {
+        self.fail(&mut frame, vc, error)
+    }
+
+    fn fail(
+        &mut self,
+        frame: &mut Aal5Frame,
+        vc: VcId,
+        error: ReassemblyError,
+    ) -> ReassemblyFailure {
+        self.failed += 1;
+        let buf = std::mem::take(&mut frame.buf);
+        let discarded_octets = buf.len();
+        self.recycle(buf);
+        ReassemblyFailure {
+            vc,
+            mid: 0,
+            error,
+            discarded_octets,
+        }
+    }
+
+    /// Whether `frame`'s first cell arrived more than the timeout
+    /// before `now`.
+    pub fn is_expired(&self, frame: &Aal5Frame, now: Time) -> bool {
+        now.saturating_since(frame.started_at) > self.timeout
     }
 
     /// Hand an SDU buffer (from a delivered [`ReassembledSdu`]) back for
     /// reuse. Optional — dropping the buffer is always correct — but the
     /// zero-alloc steady state needs the working set to circulate.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        self.stash(buf);
-    }
-
-    fn stash(&mut self, mut buf: Vec<u8>) {
-        if self.spare.len() < SPARE_POOL_LIMIT {
+    pub fn recycle(&mut self, mut buf: Vec<u8>) {
+        self.lent = self.lent.saturating_sub(1);
+        if self.spare.len() < self.peak_lent.max(SPARE_POOL_LIMIT) {
             buf.clear();
             self.spare.push(buf);
         }
@@ -218,13 +357,54 @@ impl Aal5Reassembler {
     pub fn failed(&self) -> u64 {
         self.failed
     }
+}
+
+/// AAL5 reassembler for any number of VCs: [`Aal5Kernel`] frames kept
+/// per VC.
+///
+/// Offer every user-data cell via [`Aal5Reassembler::push`]; call
+/// [`Aal5Reassembler::expire`] periodically to enforce the reassembly
+/// timeout. Statistics count completions and every failure class.
+pub struct Aal5Reassembler {
+    /// Per-VC frame state in the sharded open-addressing table, keyed
+    /// on the packed 24-bit cam key — the same structure the CAM model
+    /// uses, so a million in-progress VCs cost flat lookups and ~bytes,
+    /// not `HashMap` buckets.
+    vcs: VcTable<Aal5Frame>,
+    kernel: Aal5Kernel,
+}
+
+impl Aal5Reassembler {
+    /// A reassembler accepting SDUs up to `max_sdu` octets and abandoning
+    /// frames older than `timeout`.
+    pub fn new(max_sdu: usize, timeout: Duration) -> Self {
+        Aal5Reassembler {
+            vcs: VcTable::new(),
+            kernel: Aal5Kernel::new(max_sdu, timeout),
+        }
+    }
+
+    /// Hand an SDU buffer (from a delivered [`ReassembledSdu`]) back for
+    /// reuse; see [`Aal5Kernel::recycle`].
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.kernel.recycle(buf);
+    }
+
+    /// Frames successfully delivered.
+    pub fn completed(&self) -> u64 {
+        self.kernel.completed()
+    }
+    /// Frames abandoned (all causes).
+    pub fn failed(&self) -> u64 {
+        self.kernel.failed()
+    }
     /// VCs with a frame currently in progress.
     pub fn in_progress(&self) -> usize {
         self.vcs.len()
     }
     /// Octets currently buffered across all VCs.
     pub fn buffered_octets(&self) -> usize {
-        self.vcs.iter().map(|(_, s)| s.buf.len()).sum()
+        self.vcs.iter().map(|(_, f)| f.buffered_octets()).sum()
     }
 
     /// Probe/memory statistics of the backing [`VcTable`].
@@ -235,92 +415,24 @@ impl Aal5Reassembler {
     /// Offer one cell. Returns a completed SDU, a failure report, or
     /// nothing (mid-frame).
     pub fn push(&mut self, cell: &Cell, now: Time) -> ReassemblyOutcome {
-        let header = match cell.header() {
-            Ok(h) => h,
-            Err(_) => return None, // undecodable header: not ours to count
+        let Ok(header) = cell.header() else {
+            return None; // undecodable header: not ours to count
         };
-        if !header.pti.is_user_data() {
+        let Pti::UserData { last, .. } = header.pti else {
             return None; // OAM/RM cells don't participate in reassembly
-        }
+        };
         let vc = header.vc();
         let key = vc.cam_key() as u64;
-        let spare = &mut self.spare;
-        let (_, state) = self
+        let kernel = &mut self.kernel;
+        let (_, frame) = self
             .vcs
-            .get_or_insert_with(key, || VcState {
-                buf: spare.pop().unwrap_or_default(),
-                cells: 0,
-                started_at: now,
-            })
+            .get_or_insert_with(key, || kernel.open(now))
             .expect("unbounded table never refuses");
-        state.buf.extend_from_slice(cell.payload());
-        state.cells += 1;
-
-        // Oversize guard: largest legal CPCS-PDU for our max_sdu.
-        let limit = cpcs_pdu_len(self.max_sdu);
-        if state.buf.len() > limit {
-            let state = self.vcs.remove(key).expect("state just inserted");
-            let discarded = state.buf.len();
-            self.stash(state.buf);
-            self.failed += 1;
-            return Some(Err(ReassemblyFailure {
-                vc,
-                mid: 0,
-                error: ReassemblyError::TooLong,
-                discarded_octets: discarded,
-            }));
+        let outcome = kernel.push(frame, vc, cell.payload(), last);
+        if outcome.is_some() {
+            self.vcs.remove(key);
         }
-
-        if !header.pti.is_last() {
-            return None;
-        }
-
-        // Final cell: validate the CPCS-PDU.
-        let state = self.vcs.remove(key).expect("state just inserted");
-        let mut pdu = state.buf;
-        debug_assert!(pdu.len().is_multiple_of(PAYLOAD_SIZE));
-
-        let trailer = &pdu[pdu.len() - TRAILER_SIZE..];
-        let uu = trailer[0];
-        let length = ((trailer[2] as usize) << 8) | trailer[3] as usize;
-        let stored_crc = u32::from_be_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
-
-        let computed = crc32(&pdu[..pdu.len() - 4]);
-        if computed != stored_crc {
-            self.failed += 1;
-            let discarded = pdu.len();
-            self.stash(pdu);
-            return Some(Err(ReassemblyFailure {
-                vc,
-                mid: 0,
-                error: ReassemblyError::Crc32,
-                discarded_octets: discarded,
-            }));
-        }
-        // Length must reconstruct the same number of cells: the pad is
-        // 0..47, i.e. length + 8 must round up to exactly pdu.len().
-        if length > self.max_sdu || cpcs_pdu_len(length) != pdu.len() {
-            self.failed += 1;
-            let discarded = pdu.len();
-            self.stash(pdu);
-            return Some(Err(ReassemblyFailure {
-                vc,
-                mid: 0,
-                error: ReassemblyError::LengthMismatch,
-                discarded_octets: discarded,
-            }));
-        }
-
-        self.completed += 1;
-        // Truncate in place: the SDU leaves with the frame buffer (same
-        // bytes as a copy, no allocation); `recycle` brings it back.
-        pdu.truncate(length);
-        Some(Ok(ReassembledSdu {
-            vc,
-            mid: 0,
-            data: pdu,
-            user_to_user: uu,
-        }))
+        outcome
     }
 
     /// Offer a burst of slab-backed cells, appending every completed SDU
@@ -344,43 +456,204 @@ impl Aal5Reassembler {
     /// closing, and its cells must not be glued onto the first frame of
     /// whatever connection reuses the VC next.
     pub fn abandon(&mut self, vc: VcId) -> Option<ReassemblyFailure> {
-        let s = self.vcs.remove(vc.cam_key() as u64)?;
-        self.failed += 1;
-        let discarded = s.buf.len();
-        self.stash(s.buf);
-        Some(ReassemblyFailure {
-            vc,
-            mid: 0,
-            error: ReassemblyError::ConnectionClosed,
-            discarded_octets: discarded,
-        })
+        let frame = self.vcs.remove(vc.cam_key() as u64)?;
+        Some(
+            self.kernel
+                .abandon(frame, vc, ReassemblyError::ConnectionClosed),
+        )
     }
 
     /// Abandon every frame whose first cell arrived more than the timeout
-    /// ago. Returns one failure report per abandoned frame.
+    /// ago. Returns one failure report per abandoned frame, in ascending
+    /// cam-key order ([`VcId::cam_key`]).
     pub fn expire(&mut self, now: Time) -> Vec<ReassemblyFailure> {
-        let timeout = self.timeout;
-        let expired: Vec<u64> = self
+        let kernel = &self.kernel;
+        let mut expired: Vec<u64> = self
             .vcs
             .iter()
-            .filter(|(_, s)| now.saturating_since(s.started_at) > timeout)
+            .filter(|(_, f)| kernel.is_expired(f, now))
             .map(|(key, _)| key)
             .collect();
+        expired.sort_unstable();
         expired
             .into_iter()
             .map(|key| {
-                let s = self.vcs.remove(key).expect("key from iteration");
-                self.failed += 1;
-                let discarded = s.buf.len();
-                self.stash(s.buf);
-                ReassemblyFailure {
-                    vc: VcId::new((key >> 16) as u16, key as u16),
-                    mid: 0,
-                    error: ReassemblyError::Timeout,
-                    discarded_octets: discarded,
-                }
+                let frame = self.vcs.remove(key).expect("key from iteration");
+                let vc = VcId::new((key >> 16) as u16, key as u16);
+                self.kernel.abandon(frame, vc, ReassemblyError::Timeout)
             })
             .collect()
+    }
+}
+
+/// The octet-by-octet segmenter and the whole-PDU-CRC reassembler that
+/// [`segment_with`] and [`Aal5Kernel`] replaced, kept as oracles.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::crc::crc32;
+
+    /// All-zero pad source (the pad is at most 47 octets).
+    const ZERO_PAD: [u8; PAYLOAD_SIZE] = [0u8; PAYLOAD_SIZE];
+
+    /// Segmentation with a header encode per cell and every payload
+    /// octet chosen through a three-way branch.
+    pub fn segment(vc: VcId, sdu: &[u8], uu: u8) -> Vec<Cell> {
+        assert!(sdu.len() <= MAX_SDU, "SDU exceeds AAL5 maximum");
+        let total = cpcs_pdu_len(sdu.len());
+        let n_cells = total / PAYLOAD_SIZE;
+        let pad = total - sdu.len() - TRAILER_SIZE;
+
+        let mut crc = Crc32Accumulator::new();
+        crc.update(sdu);
+        crc.update(&ZERO_PAD[..pad]);
+        let mut trailer = [0u8; TRAILER_SIZE];
+        trailer[0] = uu;
+        trailer[1] = 0;
+        trailer[2] = (sdu.len() >> 8) as u8;
+        trailer[3] = sdu.len() as u8;
+        crc.update(&trailer[..4]);
+        let c = crc.finish();
+        trailer[4..].copy_from_slice(&c.to_be_bytes());
+
+        let mut cells = Vec::new();
+        let mut payload = [0u8; PAYLOAD_SIZE];
+        for i in 0..n_cells {
+            let start = i * PAYLOAD_SIZE;
+            for (j, slot) in payload.iter_mut().enumerate() {
+                let pos = start + j;
+                *slot = if pos < sdu.len() {
+                    sdu[pos]
+                } else if pos < sdu.len() + pad {
+                    0
+                } else {
+                    trailer[pos - sdu.len() - pad]
+                };
+            }
+            let last = i == n_cells - 1;
+            cells.push(Cell::new(&HeaderRepr::data(vc, last), &payload).unwrap());
+        }
+        cells
+    }
+
+    struct VcState {
+        buf: Vec<u8>,
+        started_at: Time,
+    }
+
+    /// Reassembly that buffers the whole PDU and runs CRC-32 over it at
+    /// end of frame.
+    pub struct Reassembler {
+        vcs: VcTable<VcState>,
+        max_sdu: usize,
+        timeout: Duration,
+        pub completed: u64,
+        pub failed: u64,
+    }
+
+    impl Reassembler {
+        pub fn new(max_sdu: usize, timeout: Duration) -> Self {
+            Reassembler {
+                vcs: VcTable::new(),
+                max_sdu: max_sdu.min(MAX_SDU),
+                timeout,
+                completed: 0,
+                failed: 0,
+            }
+        }
+
+        pub fn in_progress(&self) -> usize {
+            self.vcs.len()
+        }
+
+        pub fn buffered_octets(&self) -> usize {
+            self.vcs.iter().map(|(_, s)| s.buf.len()).sum()
+        }
+
+        fn failure(
+            &mut self,
+            vc: VcId,
+            error: ReassemblyError,
+            discarded: usize,
+        ) -> ReassemblyFailure {
+            self.failed += 1;
+            ReassemblyFailure {
+                vc,
+                mid: 0,
+                error,
+                discarded_octets: discarded,
+            }
+        }
+
+        pub fn push(&mut self, cell: &Cell, now: Time) -> ReassemblyOutcome {
+            let header = cell.header().ok()?;
+            if !header.pti.is_user_data() {
+                return None;
+            }
+            let vc = header.vc();
+            let key = vc.cam_key() as u64;
+            let (_, state) = self
+                .vcs
+                .get_or_insert_with(key, || VcState {
+                    buf: Vec::new(),
+                    started_at: now,
+                })
+                .unwrap();
+            state.buf.extend_from_slice(cell.payload());
+            if state.buf.len() > cpcs_pdu_len(self.max_sdu) {
+                let n = self.vcs.remove(key).unwrap().buf.len();
+                return Some(Err(self.failure(vc, ReassemblyError::TooLong, n)));
+            }
+            if !header.pti.is_last() {
+                return None;
+            }
+            let mut pdu = self.vcs.remove(key).unwrap().buf;
+            let trailer = &pdu[pdu.len() - TRAILER_SIZE..];
+            let uu = trailer[0];
+            let length = ((trailer[2] as usize) << 8) | trailer[3] as usize;
+            let stored_crc = u32::from_be_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
+            if crc32(&pdu[..pdu.len() - 4]) != stored_crc {
+                return Some(Err(self.failure(vc, ReassemblyError::Crc32, pdu.len())));
+            }
+            if length > self.max_sdu || cpcs_pdu_len(length) != pdu.len() {
+                let n = pdu.len();
+                return Some(Err(self.failure(vc, ReassemblyError::LengthMismatch, n)));
+            }
+            self.completed += 1;
+            pdu.truncate(length);
+            Some(Ok(ReassembledSdu {
+                vc,
+                mid: 0,
+                data: pdu,
+                user_to_user: uu,
+            }))
+        }
+
+        pub fn abandon(&mut self, vc: VcId) -> Option<ReassemblyFailure> {
+            let s = self.vcs.remove(vc.cam_key() as u64)?;
+            Some(self.failure(vc, ReassemblyError::ConnectionClosed, s.buf.len()))
+        }
+
+        /// Timeouts in ascending cam-key order, the order the reassembler
+        /// documents (table order, before).
+        pub fn expire(&mut self, now: Time) -> Vec<ReassemblyFailure> {
+            let timeout = self.timeout;
+            let mut expired: Vec<u64> = self
+                .vcs
+                .iter()
+                .filter(|(_, s)| now.saturating_since(s.started_at) > timeout)
+                .map(|(key, _)| key)
+                .collect();
+            expired.sort_unstable();
+            expired
+                .into_iter()
+                .map(|key| {
+                    let n = self.vcs.remove(key).unwrap().buf.len();
+                    let vc = VcId::new((key >> 16) as u16, key as u16);
+                    self.failure(vc, ReassemblyError::Timeout, n)
+                })
+                .collect()
+        }
     }
 }
 
@@ -651,5 +924,181 @@ mod tests {
         r.push(&cells[0], Time::ZERO);
         r.push(&cells[1], Time::ZERO);
         assert_eq!(r.buffered_octets(), 96);
+    }
+
+    /// Every length up to 2100 octets (all tail shapes, many times
+    /// over), the boundary cases, and 40 random lengths up to the
+    /// maximum, each with a random `uu` and VC: `segment` and
+    /// `segment_into` both equal the per-octet reference, byte for byte.
+    #[test]
+    fn segmentation_matches_the_per_octet_reference() {
+        let mut rng = hni_sim::Rng::new(0xA115);
+        let mut lens: Vec<usize> = (0..=2100).collect();
+        lens.extend([9180, 65_534, MAX_SDU]);
+        lens.extend((0..40).map(|_| rng.below(MAX_SDU as u64 + 1) as usize));
+        let mut slab = CellSlab::new();
+        let mut refs = Vec::new();
+        for len in lens {
+            let sdu: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let uu = rng.next_u64() as u8;
+            let vc = VcId::new(rng.below(256) as u16, rng.next_u64() as u16);
+            let want = reference::segment(vc, &sdu, uu);
+            assert!(segment(vc, &sdu, uu) == want, "segment, len {len}");
+            refs.clear();
+            segment_into(vc, &sdu, uu, &mut slab, &mut refs);
+            assert_eq!(refs.len(), want.len(), "segment_into, len {len}");
+            for (i, (&r, w)) in refs.iter().zip(&want).enumerate() {
+                assert_eq!(slab.get(r), w, "segment_into, len {len}, cell {i}");
+            }
+            slab.free_all(&refs);
+        }
+    }
+
+    /// Re-encode the frame in `cells` with `length` in its trailer and a
+    /// CRC-32 that matches, so only the length check can refuse it.
+    fn forge_length(cells: &mut [Cell], length: u16) {
+        let mut pdu: Vec<u8> = cells.iter().flat_map(|c| c.payload().to_vec()).collect();
+        let n = pdu.len();
+        pdu[n - 6..n - 4].copy_from_slice(&length.to_be_bytes());
+        let crc = crate::crc::crc32(&pdu[..n - 4]);
+        pdu[n - 4..].copy_from_slice(&crc.to_be_bytes());
+        for (c, p) in cells.iter_mut().zip(pdu.chunks_exact(PAYLOAD_SIZE)) {
+            c.payload_mut().copy_from_slice(p);
+        }
+    }
+
+    /// One frame's cells on `vc` with a seeded hazard: a lost cell, a
+    /// lost end-of-frame cell (the frame merges with the next), payload
+    /// damage, a forged length, an OAM or RM cell in the middle, or a
+    /// header damaged past decoding. One frame in eight is oversize.
+    fn hazard_frame(rng: &mut hni_sim::Rng, vc: VcId, max_sdu: usize) -> Vec<Cell> {
+        let len = match rng.below(8) {
+            0 => max_sdu + 1 + rng.below(600) as usize,
+            1 => rng.below(100) as usize,
+            _ => rng.below(max_sdu as u64 + 1) as usize,
+        };
+        let sdu: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let mut cells = segment(vc, &sdu, rng.next_u64() as u8);
+        let at = rng.below(cells.len() as u64) as usize;
+        match rng.below(12) {
+            0 => {
+                cells.remove(at);
+            }
+            1 => {
+                cells.pop();
+            }
+            2 => cells[at].payload_mut()[rng.below(48) as usize] ^= 1 << rng.below(8),
+            3 => forge_length(&mut cells, rng.next_u64() as u16),
+            4 | 5 => {
+                let pti = [Pti::OamSegment, Pti::OamEndToEnd, Pti::ResourceManagement]
+                    [rng.below(3) as usize];
+                let header = HeaderRepr {
+                    pti,
+                    ..HeaderRepr::data(vc, false)
+                };
+                cells.insert(at, Cell::new(&header, &[0x6A; PAYLOAD_SIZE]).unwrap());
+            }
+            6 => cells[at].as_bytes_mut()[rng.below(5) as usize] ^= 1 << rng.below(8),
+            _ => {}
+        }
+        cells
+    }
+
+    /// Interleaved hazard frames on four VCs, with connection closes and
+    /// timeout scans between cells: the kernel-backed reassembler and
+    /// the whole-PDU reference agree on every outcome, every failure
+    /// report (reason, VC, octets) and every counter, and each outcome
+    /// class occurs.
+    #[test]
+    fn kernel_matches_the_whole_pdu_reference_under_hazards() {
+        let vcs = [
+            VcId::new(0, 32),
+            VcId::new(0, 33),
+            VcId::new(1, 32),
+            VcId::new(200, 65_000),
+        ];
+        let (max_sdu, timeout) = (1500, Duration::from_us(300));
+        let mut seen = std::collections::BTreeMap::new();
+        for seed in 0..24 {
+            let mut rng = hni_sim::Rng::new(seed);
+            let mut fast = Aal5Reassembler::new(max_sdu, timeout);
+            let mut slow = reference::Reassembler::new(max_sdu, timeout);
+            let mut queues: Vec<Vec<Cell>> = vec![Vec::new(); vcs.len()];
+            let mut now = Time::ZERO;
+            for step in 0..2500 {
+                let what = format!("seed {seed} step {step}");
+                let v = rng.below(vcs.len() as u64) as usize;
+                while queues[v].is_empty() {
+                    queues[v] = hazard_frame(&mut rng, vcs[v], max_sdu);
+                    queues[v].reverse();
+                }
+                let cell = queues[v].pop().expect("refilled");
+                now += Duration::from_ns(rng.below(4000));
+                let got = fast.push(&cell, now);
+                assert_eq!(got, slow.push(&cell, now), "{what}");
+                let class = match &got {
+                    None => "mid-frame".to_string(),
+                    Some(Ok(_)) => "delivered".to_string(),
+                    Some(Err(f)) => format!("{:?}", f.error),
+                };
+                *seen.entry(class).or_insert(0u32) += 1;
+                if let Some(Ok(sdu)) = got {
+                    fast.recycle(sdu.data);
+                }
+                match rng.below(300) {
+                    0 => {
+                        let vc = vcs[rng.below(vcs.len() as u64) as usize];
+                        let got = fast.abandon(vc);
+                        assert_eq!(got, slow.abandon(vc), "{what}");
+                        if got.is_some() {
+                            *seen.entry("ConnectionClosed".into()).or_insert(0) += 1;
+                        }
+                    }
+                    1..=3 => {
+                        let got = fast.expire(now);
+                        assert_eq!(got, slow.expire(now), "{what}");
+                        *seen.entry("Timeout".into()).or_insert(0) += got.len() as u32;
+                    }
+                    _ => {}
+                }
+                assert_eq!(fast.in_progress(), slow.in_progress(), "{what}");
+                assert_eq!(fast.buffered_octets(), slow.buffered_octets(), "{what}");
+            }
+            assert_eq!(fast.completed(), slow.completed, "seed {seed}");
+            assert_eq!(fast.failed(), slow.failed, "seed {seed}");
+        }
+        for class in [
+            "delivered",
+            "Crc32",
+            "LengthMismatch",
+            "TooLong",
+            "Timeout",
+            "ConnectionClosed",
+        ] {
+            assert!(
+                seen.get(class).copied().unwrap_or(0) > 0,
+                "{class} never occurred: {seen:?}"
+            );
+        }
+    }
+
+    /// Timeouts come out in ascending cam-key order, whatever order the
+    /// frames were opened in.
+    #[test]
+    fn expire_reports_in_cam_key_order() {
+        let mut r = Aal5Reassembler::new(MAX_SDU, Duration::from_us(10));
+        let vcs = [
+            VcId::new(3, 1),
+            VcId::new(0, 900),
+            VcId::new(0, 2),
+            VcId::new(1, 0),
+        ];
+        for &vc in &vcs {
+            r.push(&segment(vc, &[0; 100], 0)[0], Time::ZERO);
+        }
+        let order: Vec<VcId> = r.expire(Time::from_us(20)).iter().map(|f| f.vc).collect();
+        let mut want = vcs.to_vec();
+        want.sort_by_key(|vc| vc.cam_key());
+        assert_eq!(order, want);
     }
 }

@@ -2,7 +2,7 @@
 //! opposed to the simulated-cycle numbers every `R-*` experiment
 //! reports.
 //!
-//! Six hot loops are timed with the criterion shim's calibrated
+//! Seven hot loops are timed with the criterion shim's calibrated
 //! sampler ([`criterion::measure`]) and normalised to cells per second
 //! of real CPU time:
 //!
@@ -24,8 +24,11 @@
 //!   (segmentation, x⁴³ scrambling, SONET framing, alignment, parsing,
 //!   delineation, descrambling, CAM and reassembly). One op is 53
 //!   frames, which carry exactly 9360 cells.
+//! * `nic_line_oc48` — the same pair and loop at STS-48c (37,440 cells
+//!   per op). Its target is the STS-48c payload slot rate,
+//!   2396.16e6 / 424 = 5.65M cells/s; it is recorded, not gated.
 //!
-//! A seventh measurement times the R-F1 report sweep serially
+//! An eighth measurement times the R-F1 report sweep serially
 //! (`jobs = 1`) and under the `HNI_JOBS` worker pool, reporting the
 //! observed speedup **and the machine's core count** — the speedup is a
 //! property of the host, not the code; on a single-core machine it is
@@ -191,7 +194,8 @@ pub fn run_perf(fast: bool) -> PerfReport {
     });
     let vcl = hot_loop(vcl, lookup_keys.len());
 
-    let nic = nic_line_oc12(vc, &sdu, samples, sample_s);
+    let oc12 = nic_line(LineRate::Oc12, vc, &sdu, samples, sample_s);
+    let oc48 = nic_line(LineRate::Oc48, vc, &sdu, samples, sample_s);
 
     // --- serial vs parallel R-F1 sweep ---
     let pkts = if fast { 3 } else { 12 };
@@ -213,16 +217,16 @@ pub fn run_perf(fast: bool) -> PerfReport {
     PerfReport {
         mode: if fast { "fast" } else { "full" },
         cores: available_cores(),
-        hot_loops: vec![sar, hec, rx, e2e, vcl, nic],
+        hot_loops: vec![sar, hec, rx, e2e, vcl, oc12, oc48],
         sweep,
     }
 }
 
-/// Time a `Nic` pair joined back to back at STS-12c, the sender topped
-/// up with `sdu` so that no frame carries an idle cell. Every frame is
-/// checked: each event must be an intact SDU.
-fn nic_line_oc12(vc: VcId, sdu: &[u8], samples: usize, sample_s: f64) -> HotLoop {
-    let rate = LineRate::Oc12;
+/// Time a `Nic` pair joined back to back at `rate` (the loop is named
+/// `nic_line_oc<N>`), the sender topped up with `sdu` so that no frame
+/// carries an idle cell. Every frame is checked: each event must be an
+/// intact SDU.
+fn nic_line(rate: LineRate, vc: VcId, sdu: &[u8], samples: usize, sample_s: f64) -> HotLoop {
     let cfg = NicConfig::paper(rate);
     let (mut a, mut b) = (Nic::new(cfg.clone()), Nic::new(cfg));
     a.open_vc(vc).expect("open at A");
@@ -242,7 +246,8 @@ fn nic_line_oc12(vc: VcId, sdu: &[u8], samples: usize, sample_s: f64) -> HotLoop
     );
     let need = rate.payload_octets_per_frame();
     let idle_before = a.tc_transmitter().idle_cells();
-    let r = measure("nic_line_oc12", samples, sample_s, || {
+    let name = format!("nic_line_oc{}", rate.sts_n());
+    let r = measure(&name, samples, sample_s, || {
         let mut delivered = 0usize;
         // 53 frames carry a whole number of cells: `need` of them.
         for _ in 0..CELL_SIZE {
@@ -386,7 +391,7 @@ mod tests {
     fn fast_perf_runs_and_serialises() {
         let r = run_perf(true);
         assert_eq!(r.mode, "fast");
-        assert_eq!(r.hot_loops.len(), 6);
+        assert_eq!(r.hot_loops.len(), 7);
         for h in &r.hot_loops {
             assert!(h.cells_per_sec > 0.0, "{}", h.result.name);
             assert!(h.result.median_ns > 0.0, "{}", h.result.name);
@@ -405,6 +410,7 @@ mod tests {
             "e2e_cells",
             "vc_lookup",
             "nic_line_oc12",
+            "nic_line_oc48",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
@@ -423,7 +429,7 @@ mod tests {
         assert!(text.contains("speedup"), "{text}");
         // The sentinel record round-trips through its own line format.
         let rec = r.sentinel_record();
-        assert_eq!(rec.samples.len(), 7, "6 hot loops + sweep_serial");
+        assert_eq!(rec.samples.len(), 8, "7 hot loops + sweep_serial");
         let parsed = SentinelRecord::parse_line(&rec.to_line()).expect("own line parses");
         assert_eq!(parsed.mode, "fast");
         assert_eq!(parsed.samples.len(), rec.samples.len());

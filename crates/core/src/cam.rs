@@ -82,11 +82,18 @@ impl Cam {
     /// Re-programming an existing key to a new (free) index is allowed,
     /// even at capacity; the key's old index is released.
     pub fn insert(&mut self, vc: VcId, index: u16) -> bool {
+        self.program(vc, index).is_some()
+    }
+
+    /// [`Cam::insert`], telling the caller what it replaced: `None` if
+    /// the mapping was refused, otherwise the index the key held before
+    /// (`Some(None)` for a new key).
+    pub(crate) fn program(&mut self, vc: VcId, index: u16) -> Option<Option<u16>> {
         let key = vc.cam_key();
         if let Some(&owner) = self.index_owner.get(&index) {
             if owner != key {
                 // One read-out line per index: refuse the steal.
-                return false;
+                return None;
             }
         }
         match self.entries.get_mut_by_key(key as u64) {
@@ -97,14 +104,13 @@ impl Cam {
                     self.index_owner.remove(&old);
                     self.index_owner.insert(index, key);
                 }
-                true
+                Some(Some(old))
             }
             None => {
-                if self.entries.insert(key as u64, index).is_none() {
-                    return false; // capacity bound
-                }
+                // `None` here is the capacity bound.
+                self.entries.insert(key as u64, index)?;
                 self.index_owner.insert(index, key);
-                true
+                Some(None)
             }
         }
     }
@@ -117,15 +123,11 @@ impl Cam {
             .is_some_and(|&owner| owner != vc.cam_key())
     }
 
-    /// Remove a mapping; returns whether it existed.
-    pub fn remove(&mut self, vc: VcId) -> bool {
-        match self.entries.remove(vc.cam_key() as u64) {
-            Some(index) => {
-                self.index_owner.remove(&index);
-                true
-            }
-            None => false,
-        }
+    /// Remove a mapping; returns the connection index it released.
+    pub fn remove(&mut self, vc: VcId) -> Option<u16> {
+        let index = self.entries.remove(vc.cam_key() as u64)?;
+        self.index_owner.remove(&index);
+        Some(index)
     }
 
     /// Look up a cell's VC (counts hit/miss).
@@ -206,8 +208,8 @@ mod tests {
     fn remove_frees_space() {
         let mut cam = Cam::new(1);
         cam.insert(VcId::new(0, 32), 0);
-        assert!(cam.remove(VcId::new(0, 32)));
-        assert!(!cam.remove(VcId::new(0, 32)));
+        assert_eq!(cam.remove(VcId::new(0, 32)), Some(0));
+        assert_eq!(cam.remove(VcId::new(0, 32)), None);
         assert!(cam.insert(VcId::new(0, 33), 1));
     }
 

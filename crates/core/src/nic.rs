@@ -47,13 +47,12 @@
 use crate::cam::{Cam, CamResult};
 use crate::config::NicConfig;
 use hni_aal::aal34::{Aal34Reassembler, Aal34Segmenter};
-use hni_aal::aal5::{self, Aal5Reassembler};
-use hni_aal::{AalType, ReassemblyFailure};
-use hni_atm::{Cell, CellRef, CellSlab, VcId, CELL_SIZE};
+use hni_aal::aal5::{self, Aal5Frame, Aal5Kernel};
+use hni_aal::{AalType, ReassemblyError, ReassemblyFailure, ReassemblyOutcome};
+use hni_atm::{Cell, CellRef, CellSlab, Pti, VcId, CELL_SIZE};
 use hni_sim::link::apply_bit_errors;
-use hni_sim::{FaultInjector, Time, UnitFate};
+use hni_sim::{Duration, FaultInjector, Time, UnitFate};
 use hni_sonet::{TcReceiver, TcTransmitter};
-use hni_telemetry::VcMetrics;
 use std::collections::VecDeque;
 
 /// What the interface reports up to the host driver.
@@ -107,6 +106,108 @@ impl core::fmt::Display for NicError {
 
 impl std::error::Error for NicError {}
 
+/// `ConnFrames::slot_of` value of a connection with no frame in progress.
+const NO_FRAME: u32 = u32::MAX;
+
+/// AAL5 frames in progress, reached by the connection index the CAM
+/// returns — the paper's CAM → per-VC state design. An open connection
+/// with no frame in progress costs one `u32`; frame state lives only in
+/// a dense arena of in-progress frames, which is all a timeout scan
+/// walks.
+struct ConnFrames {
+    kernel: Aal5Kernel,
+    /// Connection index → position in `frames`, or [`NO_FRAME`].
+    slot_of: Vec<u32>,
+    /// In-progress frames: connection index, VC, frame state.
+    frames: Vec<(u16, VcId, Aal5Frame)>,
+}
+
+impl ConnFrames {
+    fn new(max_sdu: usize, timeout: Duration) -> Self {
+        ConnFrames {
+            kernel: Aal5Kernel::new(max_sdu, timeout),
+            slot_of: Vec::new(),
+            frames: Vec::new(),
+        }
+    }
+
+    /// Connection `conn` was opened; `old` is the index its VC held if
+    /// the open re-programmed a live entry, whose frame moves with it.
+    fn open(&mut self, conn: u16, old: Option<u16>) {
+        let c = conn as usize;
+        if self.slot_of.len() <= c {
+            self.slot_of.resize(c + 1, NO_FRAME);
+        }
+        if let Some(old) = old.filter(|&o| o != conn) {
+            let slot = std::mem::replace(&mut self.slot_of[old as usize], NO_FRAME);
+            self.slot_of[c] = slot;
+            if slot != NO_FRAME {
+                self.frames[slot as usize].0 = conn;
+            }
+        }
+    }
+
+    /// Offer one user-data cell of open connection `conn`.
+    fn push(
+        &mut self,
+        conn: u16,
+        vc: VcId,
+        payload: &[u8],
+        last: bool,
+        now: Time,
+    ) -> ReassemblyOutcome {
+        let c = conn as usize;
+        let mut slot = self.slot_of[c];
+        if slot == NO_FRAME {
+            slot = self.frames.len() as u32;
+            self.frames.push((conn, vc, self.kernel.open(now)));
+            self.slot_of[c] = slot;
+        }
+        let outcome = self
+            .kernel
+            .push(&mut self.frames[slot as usize].2, vc, payload, last);
+        if outcome.is_some() {
+            self.take(conn);
+        }
+        outcome
+    }
+
+    /// Remove `conn`'s in-progress frame from the arena.
+    fn take(&mut self, conn: u16) -> Option<(u16, VcId, Aal5Frame)> {
+        let slot = std::mem::replace(&mut self.slot_of[conn as usize], NO_FRAME);
+        if slot == NO_FRAME {
+            return None;
+        }
+        let taken = self.frames.swap_remove(slot as usize);
+        if let Some(&(moved, _, _)) = self.frames.get(slot as usize) {
+            self.slot_of[moved as usize] = slot;
+        }
+        Some(taken)
+    }
+
+    /// Abandon `conn`'s in-progress frame, if any.
+    fn abandon(&mut self, conn: u16, error: ReassemblyError) -> Option<ReassemblyFailure> {
+        let (_, vc, frame) = self.take(conn)?;
+        Some(self.kernel.abandon(frame, vc, error))
+    }
+
+    /// Time out every expired frame, reporting in ascending cam-key
+    /// order as [`hni_aal::aal5::Aal5Reassembler::expire`] does.
+    fn expire(&mut self, now: Time, events: &mut VecDeque<NicEvent>) {
+        let mut expired: Vec<(u32, u16)> = self
+            .frames
+            .iter()
+            .filter(|(_, _, f)| self.kernel.is_expired(f, now))
+            .map(|&(conn, vc, _)| (vc.cam_key(), conn))
+            .collect();
+        expired.sort_unstable();
+        for (_, conn) in expired {
+            let failure = self.abandon(conn, ReassemblyError::Timeout);
+            events.push_back(NicEvent::ReceiveError(failure.expect("frame just seen")));
+        }
+    }
+}
+
 /// The functional host-network interface.
 pub struct Nic {
     cfg: NicConfig,
@@ -117,7 +218,7 @@ pub struct Nic {
     seg34: Aal34Segmenter,
     // Receive side.
     tc_rx: TcReceiver,
-    reasm5: Aal5Reassembler,
+    reasm5: ConnFrames,
     reasm34: Aal34Reassembler,
     events: VecDeque<NicEvent>,
     // Last time the receive path ran the reassembly-expiry scan.
@@ -134,9 +235,6 @@ pub struct Nic {
     cells_sent: u64,
     sdus_received: u64,
     unknown_vc_cells: u64,
-    // Always-on per-VC receive accounting at bounded cardinality
-    // (sharded exact totals + space-saving top-K heavy hitters).
-    rx_vc_metrics: VcMetrics,
 }
 
 impl Nic {
@@ -148,7 +246,7 @@ impl Nic {
             tc_tx: TcTransmitter::new(cfg.rate),
             seg34: Aal34Segmenter::new(),
             tc_rx: TcReceiver::new(cfg.rate),
-            reasm5: Aal5Reassembler::new(cfg.max_sdu, cfg.reassembly_timeout),
+            reasm5: ConnFrames::new(cfg.max_sdu, cfg.reassembly_timeout),
             reasm34: Aal34Reassembler::new(cfg.max_sdu, cfg.reassembly_timeout),
             events: VecDeque::new(),
             last_expiry_scan: Time::ZERO,
@@ -159,7 +257,6 @@ impl Nic {
             cells_sent: 0,
             sdus_received: 0,
             unknown_vc_cells: 0,
-            rx_vc_metrics: VcMetrics::new(),
             cfg,
         }
     }
@@ -178,8 +275,9 @@ impl Nic {
     pub fn open_vc(&mut self, vc: VcId) -> Result<(), NicError> {
         for _ in 0..=u16::MAX {
             let idx = self.next_conn_index;
-            if self.cam.insert(vc, idx) {
+            if let Some(old) = self.cam.program(vc, idx) {
                 self.next_conn_index = idx.wrapping_add(1);
+                self.reasm5.open(idx, old);
                 return Ok(());
             }
             if !self.cam.index_held_by_other(idx, vc) {
@@ -196,11 +294,12 @@ impl Nic {
     /// [`hni_aal::ReassemblyError::ConnectionClosed`]. A later `open_vc` of the
     /// same VC therefore starts from clean reassembly state.
     pub fn close_vc(&mut self, vc: VcId) -> bool {
-        let failures = self.reasm5.abandon(vc).into_iter();
-        for f in failures.chain(self.reasm34.abandon(vc)) {
+        let conn = self.cam.remove(vc);
+        let failures = conn.and_then(|c| self.reasm5.abandon(c, ReassemblyError::ConnectionClosed));
+        for f in failures.into_iter().chain(self.reasm34.abandon(vc)) {
             self.events.push_back(NicEvent::ReceiveError(f));
         }
-        self.cam.remove(vc)
+        conn.is_some()
     }
 
     /// Segment and queue an SDU for transmission on `vc`.
@@ -248,7 +347,16 @@ impl Nic {
     /// Produce the next 125 µs SONET frame for the line (call every
     /// frame time; idle cells fill the slack).
     pub fn frame_tick(&mut self) -> Vec<u8> {
-        self.tc_tx.pull_frame()
+        let mut frame = Vec::new();
+        self.frame_tick_into(&mut frame);
+        frame
+    }
+
+    /// [`Nic::frame_tick`] into a caller's buffer, which is overwritten
+    /// with the frame: a buffer reused every frame time makes the
+    /// steady-state transmit side allocation-free.
+    pub fn frame_tick_into(&mut self, frame: &mut Vec<u8>) {
+        self.tc_tx.pull_frame_into(frame);
     }
 
     /// Send an OAM F5 end-to-end loopback request on `vc`. The far end
@@ -355,30 +463,25 @@ impl Nic {
         self.maybe_expire(now);
     }
 
-    /// The per-cell receive body shared by every entry point: CAM
-    /// lookup, OAM handling, reassembly, event generation.
+    /// The per-cell receive body shared by every entry point: one
+    /// header decode, one CAM lookup for the connection index, then OAM
+    /// handling or reassembly, and event generation.
     fn receive_cell(&mut self, cell: &Cell, now: Time) {
         let Ok(header) = cell.header() else { return };
         let vc = header.vc();
-        // Always-on per-VC accounting before any disposition: unknown-VC
-        // and OAM cells count toward their VC's volume too.
-        self.rx_vc_metrics
-            .record_cell(vc.cam_key(), CELL_SIZE as u64);
-        if matches!(self.cam.lookup(vc), CamResult::Miss) {
+        let CamResult::Hit(conn) = self.cam.lookup(vc) else {
             self.unknown_vc_cells += 1;
             self.events.push_back(NicEvent::UnknownVc(vc));
             return;
-        }
-        if matches!(
-            header.pti,
-            hni_atm::Pti::OamEndToEnd | hni_atm::Pti::OamSegment
-        ) {
-            self.handle_oam(vc, cell);
-            return;
-        }
-        let outcome = match self.cfg.aal {
-            AalType::Aal5 => self.reasm5.push(cell, now),
-            AalType::Aal34 => self.reasm34.push(cell, now),
+        };
+        let outcome = match (header.pti, self.cfg.aal) {
+            (Pti::OamEndToEnd | Pti::OamSegment, _) => return self.handle_oam(vc, cell),
+            (Pti::UserData { last, .. }, AalType::Aal5) => {
+                self.reasm5.push(conn, vc, cell.payload(), last, now)
+            }
+            // RM and reserved cells take no part in AAL5 reassembly.
+            (_, AalType::Aal5) => return,
+            (_, AalType::Aal34) => self.reasm34.push(cell, now),
         };
         match outcome {
             None => {}
@@ -402,9 +505,7 @@ impl Nic {
     /// sit forever just because the interface is configured for AAL5
     /// (and vice versa); idle per-VC state is a leak either way.
     pub fn expire(&mut self, now: Time) {
-        for f in self.reasm5.expire(now) {
-            self.events.push_back(NicEvent::ReceiveError(f));
-        }
+        self.reasm5.expire(now, &mut self.events);
         for f in self.reasm34.expire(now) {
             self.events.push_back(NicEvent::ReceiveError(f));
         }
@@ -417,7 +518,7 @@ impl Nic {
     /// half-timeout cadence keeps the scan off the per-cell fast path.
     fn maybe_expire(&mut self, now: Time) {
         let timeout = self.cfg.reassembly_timeout;
-        if timeout > hni_sim::Duration::ZERO
+        if timeout > Duration::ZERO
             && now.saturating_since(self.last_expiry_scan).as_ps() >= timeout.as_ps() / 2
         {
             self.last_expiry_scan = now;
@@ -434,7 +535,7 @@ impl Nic {
     /// back to the receive path for reuse. Optional; closing the loop
     /// makes the steady-state receive path allocation-free per frame.
     pub fn recycle_sdu_buffer(&mut self, buf: Vec<u8>) {
-        self.reasm5.recycle(buf);
+        self.reasm5.kernel.recycle(buf);
     }
 
     /// SDUs accepted for transmission.
@@ -452,11 +553,6 @@ impl Nic {
     /// Cells dropped for lacking a CAM entry.
     pub fn unknown_vc_cells(&self) -> u64 {
         self.unknown_vc_cells
-    }
-    /// Always-on per-VC receive metrics: exact sharded cell/byte
-    /// totals plus the space-saving top-K heavy hitters.
-    pub fn rx_vc_metrics(&self) -> &VcMetrics {
-        &self.rx_vc_metrics
     }
     /// Receive-side TC statistics.
     pub fn tc_receiver(&self) -> &TcReceiver {
@@ -811,6 +907,231 @@ mod tests {
         assert_eq!(nic.open_vc(VcId::new(0, 35)), Ok(()));
         assert_eq!(nic.open_vc(VcId::new(0, 36)), Ok(()));
         assert_eq!(nic.open_vc(VcId::new(0, 37)), Err(NicError::CamFull));
+    }
+}
+
+/// The receive path checked against the layered one it fuses: a CAM,
+/// then [`hni_aal::aal5::Aal5Reassembler`] — which hni-aal's tests pin,
+/// outcome for outcome, to the whole-PDU-CRC reference reassembler.
+#[cfg(test)]
+mod fused_rx_tests {
+    use super::*;
+    use hni_aal::aal5::Aal5Reassembler;
+    use hni_atm::{HeaderRepr, OamCell, OamFunction, PAYLOAD_SIZE};
+    use hni_sim::Rng;
+    use hni_sonet::LineRate;
+
+    /// The Nic's receive side as separate layers, with the Nic's event
+    /// rules and expiry cadence.
+    struct Layered {
+        cam: Cam,
+        reasm: Aal5Reassembler,
+        timeout: Duration,
+        last_scan: Time,
+        sdus: u64,
+        unknown: u64,
+        events: Vec<NicEvent>,
+    }
+
+    impl Layered {
+        fn receive(&mut self, cell: &Cell, now: Time) {
+            let Ok(h) = cell.header() else { return };
+            if self.cam.lookup(h.vc()) == CamResult::Miss {
+                self.unknown += 1;
+                self.events.push(NicEvent::UnknownVc(h.vc()));
+                return;
+            }
+            if matches!(h.pti, Pti::OamSegment | Pti::OamEndToEnd) {
+                if let Ok(oam) = OamCell::parse(cell) {
+                    if oam.function == OamFunction::Loopback && !oam.loopback_indication {
+                        self.events.push(NicEvent::OamLoopbackReply {
+                            vc: h.vc(),
+                            tag: oam.tag,
+                        });
+                    }
+                }
+                return;
+            }
+            match self.reasm.push(cell, now) {
+                None => {}
+                Some(Ok(sdu)) => {
+                    self.sdus += 1;
+                    self.events.push(NicEvent::PacketReceived {
+                        vc: sdu.vc,
+                        mid: 0,
+                        data: sdu.data,
+                        uu: sdu.user_to_user,
+                    });
+                }
+                Some(Err(f)) => self.events.push(NicEvent::ReceiveError(f)),
+            }
+        }
+
+        fn expire(&mut self, now: Time) {
+            let failures = self.reasm.expire(now);
+            self.events
+                .extend(failures.into_iter().map(NicEvent::ReceiveError));
+        }
+
+        fn maybe_expire(&mut self, now: Time) {
+            if now.saturating_since(self.last_scan).as_ps() >= self.timeout.as_ps() / 2 {
+                self.last_scan = now;
+                self.expire(now);
+            }
+        }
+    }
+
+    /// One frame's cells on `vc` with a seeded hazard: a lost cell, a
+    /// lost end-of-frame cell (frames merge), payload damage, an
+    /// undecodable header, an RM cell, or OAM loopback cells in the
+    /// middle. One frame in eight is oversize.
+    fn hazard_frame(rng: &mut Rng, vc: VcId, max_sdu: usize) -> Vec<Cell> {
+        let len = match rng.below(8) {
+            0 => max_sdu + 1 + rng.below(400) as usize,
+            1 => rng.below(100) as usize,
+            _ => rng.below(max_sdu as u64 + 1) as usize,
+        };
+        let sdu: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let mut cells = aal5::segment(vc, &sdu, rng.next_u64() as u8);
+        let at = rng.below(cells.len() as u64) as usize;
+        match rng.below(12) {
+            0 => {
+                cells.remove(at);
+            }
+            1 => {
+                cells.pop();
+            }
+            2 => cells[at].payload_mut()[rng.below(48) as usize] ^= 1 << rng.below(8),
+            3 => cells[at].as_bytes_mut()[rng.below(5) as usize] ^= 1 << rng.below(8),
+            4 => {
+                let header = HeaderRepr {
+                    pti: Pti::ResourceManagement,
+                    ..HeaderRepr::data(vc, false)
+                };
+                cells.insert(at, Cell::new(&header, &[0; PAYLOAD_SIZE]).unwrap());
+            }
+            5 => {
+                let request = OamCell::loopback_request(rng.next_u64() as u32);
+                cells.insert(at, request.loopback_reply().emit(vc));
+                cells.insert(at, request.emit(vc));
+            }
+            _ => {}
+        }
+        cells
+    }
+
+    /// Interleaved hazard frames on six VCs, two of them never opened,
+    /// fed to `rx_burst` in random bursts; between bursts VCs close and
+    /// reopen, an open VC is opened again (its connection index moves),
+    /// and the clock jumps past the reassembly timeout. The Nic and the
+    /// layered path produce the same events in the same order and the
+    /// same counters, and every failure reason occurs.
+    #[test]
+    fn fused_receive_matches_the_layered_path() {
+        let vcs: Vec<VcId> = [(0, 32), (0, 33), (1, 32), (200, 65_000), (0, 40), (3, 3)]
+            .map(|(p, c)| VcId::new(p, c))
+            .to_vec();
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..16 {
+            let mut cfg = NicConfig::paper(LineRate::Oc3);
+            cfg.max_sdu = 1500;
+            cfg.reassembly_timeout = Duration::from_us(500);
+            let mut nic = Nic::new(cfg.clone());
+            let mut layered = Layered {
+                cam: Cam::new(cfg.cam_capacity),
+                reasm: Aal5Reassembler::new(cfg.max_sdu, cfg.reassembly_timeout),
+                timeout: cfg.reassembly_timeout,
+                last_scan: Time::ZERO,
+                sdus: 0,
+                unknown: 0,
+                events: Vec::new(),
+            };
+            let mut open = [true, true, true, true, false, false];
+            for (i, &vc) in vcs.iter().enumerate().filter(|&(i, _)| open[i]) {
+                nic.open_vc(vc).unwrap();
+                layered.cam.insert(vc, i as u16);
+            }
+            let mut rng = Rng::new(seed);
+            let mut queues: Vec<Vec<Cell>> = vec![Vec::new(); vcs.len()];
+            let (mut slab, mut refs) = (CellSlab::new(), Vec::new());
+            let mut now = Time::ZERO;
+            for burst in 0..120 {
+                let what = format!("seed {seed} burst {burst}");
+                refs.clear();
+                for _ in 0..1 + rng.below(48) {
+                    let v = rng.below(vcs.len() as u64) as usize;
+                    while queues[v].is_empty() {
+                        queues[v] = hazard_frame(&mut rng, vcs[v], cfg.max_sdu);
+                        queues[v].reverse();
+                    }
+                    refs.push(slab.alloc(queues[v].pop().unwrap()));
+                }
+                now += Duration::from_us(rng.below(120));
+                nic.rx_burst(&refs, &slab, now);
+                for &r in &refs {
+                    layered.receive(slab.get(r), now);
+                }
+                layered.maybe_expire(now);
+                slab.free_all(&refs);
+
+                let v = rng.below(vcs.len() as u64) as usize;
+                match rng.below(16) {
+                    0 if open[v] => {
+                        assert!(nic.close_vc(vcs[v]), "{what}");
+                        let failure = layered.reasm.abandon(vcs[v]);
+                        layered.events.extend(failure.map(NicEvent::ReceiveError));
+                        layered.cam.remove(vcs[v]);
+                        open[v] = false;
+                    }
+                    0 | 1 => {
+                        nic.open_vc(vcs[v]).unwrap();
+                        layered.cam.insert(vcs[v], v as u16);
+                        open[v] = true;
+                    }
+                    2 => {
+                        now += Duration::from_us(rng.below(800));
+                        nic.expire(now);
+                        layered.expire(now);
+                    }
+                    _ => {}
+                }
+
+                let mut got = Vec::new();
+                while let Some(ev) = nic.poll() {
+                    got.push(ev);
+                }
+                assert_eq!(got, layered.events, "{what}");
+                for ev in layered.events.drain(..) {
+                    seen.insert(match ev {
+                        NicEvent::ReceiveError(f) => format!("{:?}", f.error),
+                        other => format!("{other:?}")
+                            .split([' ', '('])
+                            .next()
+                            .unwrap()
+                            .to_string(),
+                    });
+                }
+                for ev in got {
+                    if let NicEvent::PacketReceived { data, .. } = ev {
+                        nic.recycle_sdu_buffer(data);
+                    }
+                }
+                assert_eq!(nic.sdus_received(), layered.sdus, "{what}");
+                assert_eq!(nic.unknown_vc_cells(), layered.unknown, "{what}");
+            }
+        }
+        for class in [
+            "PacketReceived",
+            "UnknownVc",
+            "OamLoopbackReply",
+            "Crc32",
+            "LengthMismatch",
+            "TooLong",
+            "Timeout",
+            "ConnectionClosed",
+        ] {
+            assert!(seen.contains(class), "{class} never occurred: {seen:?}");
+        }
     }
 }
 

@@ -237,6 +237,15 @@ impl FrameBuilder {
     /// the octet offset from the first payload octet of the *next* frame
     /// to the next cell boundary (mod 53).
     pub fn build(&mut self, payload: &[u8], h4_cell_offset: u8) -> Vec<u8> {
+        let mut f = Vec::new();
+        self.build_into(payload, h4_cell_offset, &mut f);
+        f
+    }
+
+    /// [`FrameBuilder::build`] into a caller's buffer: `f` is overwritten
+    /// with the frame, so a buffer reused frame after frame never
+    /// reallocates.
+    pub fn build_into(&mut self, payload: &[u8], h4_cell_offset: u8, f: &mut Vec<u8>) {
         let geo = self.geo;
         let rate = geo.rate;
         assert_eq!(
@@ -245,8 +254,9 @@ impl FrameBuilder {
             "payload must fill the frame exactly"
         );
 
-        let mut f = vec![0u8; rate.frame_octets()];
-        self.write_overhead(&mut f, h4_cell_offset);
+        f.clear();
+        f.resize(rate.frame_octets(), 0);
+        self.write_overhead(f, h4_cell_offset);
 
         // Payload columns: the tail of every row, one slice per row.
         let first = geo.payload_col();
@@ -259,15 +269,14 @@ impl FrameBuilder {
 
         // Parity for the NEXT frame: B3 over this SPE, B2 per slice over
         // non-SOH octets — both pre-scrambling.
-        self.b3_next = spe_bip8(geo, &f);
-        b2_fold(geo, &f, &mut self.b2_next);
+        self.b3_next = spe_bip8(geo, f);
+        b2_fold(geo, f, &mut self.b2_next);
 
-        scramble_frame(rate, &mut f);
+        scramble_frame(rate, f);
 
         // B1 for the next frame: over this frame post-scrambling.
-        self.b1_next = bip8(&f);
+        self.b1_next = bip8(f);
         self.frame_count += 1;
-        f
     }
 
     /// Write the TOH and POH octets of the frame being built into `f`

@@ -81,12 +81,26 @@ impl FrameAligner {
     }
 
     fn pattern_at(&self, pos: usize) -> bool {
-        let n = self.rate.sts_n();
-        if pos + 2 * n > self.buf.len() {
+        pattern_at(&self.buf, pos, self.rate.sts_n())
+    }
+
+    /// The SYNC step for one frame-length slice: check its pattern and
+    /// update the state. Returns whether the frame is delivered; it is
+    /// consumed either way.
+    fn sync_step(&mut self, misses: u32, frame: &[u8]) -> bool {
+        if pattern_at(frame, 0, self.rate.sts_n()) {
+            self.state = FrameSyncState::Sync { misses: 0 };
+        } else if misses + 1 >= LOF_THRESHOLD {
+            self.losses += 1;
+            self.state = FrameSyncState::Hunt;
             return false;
+        } else {
+            // Tolerate the miss: slice on last known alignment and
+            // still deliver.
+            self.state = FrameSyncState::Sync { misses: misses + 1 };
         }
-        self.buf[pos..pos + n].iter().all(|&b| b == A1)
-            && self.buf[pos + n..pos + 2 * n].iter().all(|&b| b == A2)
+        self.frames_emitted += 1;
+        true
     }
 
     /// Feed octets; complete frames (each exactly one frame long,
@@ -96,8 +110,24 @@ impl FrameAligner {
     }
 
     /// [`FrameAligner::push`] without a copy per frame: each complete
-    /// frame is handed to `emit` as a slice of the aligner's buffer.
-    pub(crate) fn push_each(&mut self, bytes: &[u8], mut emit: impl FnMut(&[u8])) {
+    /// frame is handed to `emit` as a slice. In SYNC with nothing
+    /// buffered — the steady state when whole frames arrive — frames are
+    /// sliced straight out of `bytes`, and only what is left over is
+    /// buffered.
+    pub(crate) fn push_each(&mut self, mut bytes: &[u8], mut emit: impl FnMut(&[u8])) {
+        let flen = self.rate.frame_octets();
+        if self.buf.is_empty() {
+            while let FrameSyncState::Sync { misses } = self.state {
+                if bytes.len() < flen {
+                    break;
+                }
+                let (frame, rest) = bytes.split_at(flen);
+                if self.sync_step(misses, frame) {
+                    emit(frame);
+                }
+                bytes = rest;
+            }
+        }
         self.buf.extend_from_slice(bytes);
         loop {
             match self.state {
@@ -128,7 +158,6 @@ impl FrameAligner {
                     }
                 }
                 FrameSyncState::Presync { confirmed } => {
-                    let flen = self.rate.frame_octets();
                     // Need the candidate frame plus the next pattern.
                     if self.buf.len() < flen + 2 * self.rate.sts_n() {
                         return;
@@ -151,32 +180,28 @@ impl FrameAligner {
                     }
                 }
                 FrameSyncState::Sync { misses } => {
-                    let flen = self.rate.frame_octets();
                     if self.buf.len() < flen {
                         return;
                     }
-                    if self.pattern_at(0) {
-                        self.state = FrameSyncState::Sync { misses: 0 };
-                        self.frames_emitted += 1;
-                        emit(&self.buf[..flen]);
-                    } else {
-                        let misses = misses + 1;
-                        if misses >= LOF_THRESHOLD {
-                            self.losses += 1;
-                            self.state = FrameSyncState::Hunt;
-                        } else {
-                            // Tolerate the miss: slice on last known
-                            // alignment and still deliver.
-                            self.state = FrameSyncState::Sync { misses };
-                            self.frames_emitted += 1;
-                            emit(&self.buf[..flen]);
-                        }
+                    let buf = std::mem::take(&mut self.buf);
+                    if self.sync_step(misses, &buf[..flen]) {
+                        emit(&buf[..flen]);
                     }
+                    self.buf = buf;
                     self.buf.drain(..flen);
                 }
             }
         }
     }
+}
+
+/// Whether the A1…A1 A2…A2 pattern of an STS-`n` frame starts at
+/// `buf[pos]`.
+fn pattern_at(buf: &[u8], pos: usize, n: usize) -> bool {
+    if pos + 2 * n > buf.len() {
+        return false;
+    }
+    buf[pos..pos + n].iter().all(|&b| b == A1) && buf[pos + n..pos + 2 * n].iter().all(|&b| b == A2)
 }
 
 #[cfg(test)]
@@ -297,5 +322,160 @@ mod tests {
         a.push(&part1, &mut out);
         a.push(&stream[4..], &mut out);
         assert!(a.is_synced());
+    }
+
+    /// The aligner as it was before frames were sliced out of the input:
+    /// every octet is copied into the buffer, and frames are emitted
+    /// from it and drained.
+    fn reference_push(a: &mut FrameAligner, bytes: &[u8], out: &mut Vec<Vec<u8>>) {
+        a.buf.extend_from_slice(bytes);
+        loop {
+            match a.state {
+                FrameSyncState::Hunt => {
+                    let n = a.rate.sts_n();
+                    let mut found = None;
+                    if a.buf.len() >= 2 * n {
+                        for pos in 0..=(a.buf.len() - 2 * n) {
+                            if a.pattern_at(pos) {
+                                found = Some(pos);
+                                break;
+                            }
+                        }
+                    }
+                    match found {
+                        Some(pos) => {
+                            a.buf.drain(..pos);
+                            a.state = FrameSyncState::Presync { confirmed: 0 };
+                        }
+                        None => {
+                            let keep = (2 * n).saturating_sub(1).min(a.buf.len());
+                            let cut = a.buf.len() - keep;
+                            a.buf.drain(..cut);
+                            return;
+                        }
+                    }
+                }
+                FrameSyncState::Presync { confirmed } => {
+                    let flen = a.rate.frame_octets();
+                    if a.buf.len() < flen + 2 * a.rate.sts_n() {
+                        return;
+                    }
+                    if a.pattern_at(flen) {
+                        let confirmed = confirmed + 1;
+                        a.buf.drain(..flen);
+                        if confirmed >= PRESYNC_CONFIRM {
+                            a.state = FrameSyncState::Sync { misses: 0 };
+                            a.acquisitions += 1;
+                        } else {
+                            a.state = FrameSyncState::Presync { confirmed };
+                        }
+                    } else {
+                        a.buf.drain(..1);
+                        a.state = FrameSyncState::Hunt;
+                    }
+                }
+                FrameSyncState::Sync { misses } => {
+                    let flen = a.rate.frame_octets();
+                    if a.buf.len() < flen {
+                        return;
+                    }
+                    if a.pattern_at(0) {
+                        a.state = FrameSyncState::Sync { misses: 0 };
+                        a.frames_emitted += 1;
+                        out.push(a.buf[..flen].to_vec());
+                    } else {
+                        let misses = misses + 1;
+                        if misses >= LOF_THRESHOLD {
+                            a.losses += 1;
+                            a.state = FrameSyncState::Hunt;
+                        } else {
+                            a.state = FrameSyncState::Sync { misses };
+                            a.frames_emitted += 1;
+                            out.push(a.buf[..flen].to_vec());
+                        }
+                    }
+                    a.buf.drain(..flen);
+                }
+            }
+        }
+    }
+
+    /// A tiny xorshift generator (the crate has no RNG dependency).
+    struct Xs(u64);
+
+    impl Xs {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Seeded line streams with damaged framing octets, slips (octets
+    /// lost or inserted), garbage long enough to lose frame, and random
+    /// chunkings, including whole-frame chunks on and off the frame
+    /// boundary: the slicing aligner emits the same frames and keeps
+    /// the same state and counters as the copying reference after every
+    /// push. The slice path is taken and frame alignment is lost.
+    #[test]
+    fn slicing_aligner_matches_the_copying_reference() {
+        let (mut sliced_pushes, mut losses) = (0, 0);
+        for (r, rate) in [LineRate::Oc3, LineRate::Oc12].into_iter().enumerate() {
+            let flen = rate.frame_octets();
+            for seed in 0..6u64 {
+                let mut rng = Xs((seed * 2 + r as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut stream = Vec::new();
+                for f in frames(rate, 40) {
+                    let mut f = f;
+                    match rng.below(10) {
+                        0 => f[rng.below(2 * rate.sts_n())] ^= 1 << rng.below(8),
+                        1 => {
+                            let at = rng.below(f.len());
+                            f.drain(at..at + 1 + rng.below(4).min(f.len() - at - 1));
+                        }
+                        2 => {
+                            let at = rng.below(f.len());
+                            f.splice(at..at, (0..1 + rng.below(4)).map(|i| i as u8));
+                        }
+                        3 if rng.below(4) == 0 => {
+                            stream.extend((0..flen * (LOF_THRESHOLD as usize + 1)).map(|i| i as u8))
+                        }
+                        _ => {}
+                    }
+                    stream.extend_from_slice(&f);
+                }
+                let (mut fast, mut slow) = (FrameAligner::new(rate), FrameAligner::new(rate));
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut at = 0;
+                while at < stream.len() {
+                    let len = match rng.below(4) {
+                        // Up to a frame boundary of the aligner's buffer,
+                        // so the next chunk can take the slice path.
+                        0 => flen * (1 + rng.below(2)) - fast.buf.len() % flen,
+                        1 => flen * (1 + rng.below(3)),
+                        _ => 1 + rng.below(3 * flen),
+                    };
+                    let chunk = &stream[at..(at + len).min(stream.len())];
+                    at += chunk.len();
+                    sliced_pushes +=
+                        (fast.is_synced() && fast.buf.is_empty() && chunk.len() >= flen) as u32;
+                    fast.push(chunk, &mut got);
+                    reference_push(&mut slow, chunk, &mut want);
+                    let what = format!("{rate:?} seed {seed} at {at}");
+                    assert!(got == want, "frames differ, {what}");
+                    assert_eq!(fast.state(), slow.state(), "{what}");
+                    assert_eq!(fast.buf, slow.buf, "{what}");
+                    assert_eq!(
+                        (fast.acquisitions(), fast.losses(), fast.frames_emitted()),
+                        (slow.acquisitions(), slow.losses(), slow.frames_emitted()),
+                        "{what}"
+                    );
+                }
+                losses += fast.losses();
+            }
+        }
+        assert!(sliced_pushes > 0, "the slice path never ran");
+        assert!(losses > 0, "no stream lost frame alignment");
     }
 }

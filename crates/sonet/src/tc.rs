@@ -95,6 +95,14 @@ impl TcTransmitter {
     /// Produce the next 125 µs frame. Idle cells are inserted if the
     /// queue cannot fill the payload.
     pub fn pull_frame(&mut self) -> Vec<u8> {
+        let mut frame = Vec::new();
+        self.pull_frame_into(&mut frame);
+        frame
+    }
+
+    /// [`TcTransmitter::pull_frame`] into a caller's buffer, which is
+    /// overwritten with the frame.
+    pub fn pull_frame_into(&mut self, frame: &mut Vec<u8>) {
         let need = self.rate.payload_octets_per_frame();
         while self.backlog_octets() < need {
             let idle = Cell::idle();
@@ -112,12 +120,11 @@ impl TcTransmitter {
         } else {
             CELL_SIZE as u8 - phase
         };
-        let frame = self.builder.build(payload, h4);
+        self.builder.build_into(payload, h4, frame);
         if self.head >= self.queue.len() - self.head {
             self.queue.drain(..self.head);
             self.head = 0;
         }
-        frame
     }
 }
 

@@ -10,7 +10,12 @@
 //!    zero heap allocations and zero slab growth after warm-up,
 //!    proven by a counting global allocator.
 //! 4. One steady-state frame through a byte-exact `Nic` pair allocates
-//!    exactly once: the frame `Nic::frame_tick` returns.
+//!    exactly once: the frame `Nic::frame_tick` returns. Through
+//!    `Nic::frame_tick_into` and a reused frame buffer it allocates
+//!    nothing.
+//! 5. With a warm slab and recycled SDU buffers, `aal5::segment_into`
+//!    and `Nic::rx_burst` over a 64-way interleaved multi-VC mix
+//!    allocate nothing per burst.
 //!
 //! The allocation counter is per thread (`tests/common/count_alloc.rs`)
 //! so the other tests in this binary — which allocate freely on their
@@ -18,7 +23,7 @@
 
 use hni_aal::aal34::Aal34Segmenter;
 use hni_aal::aal5::{self, Aal5Reassembler};
-use hni_atm::{CellSlab, VcId};
+use hni_atm::{CellRef, CellSlab, VcId};
 use hni_bench::experiments::{rf1_tx_throughput, rt3_memory, rt4_pacing};
 use hni_bench::par_sweep_with_jobs;
 use hni_core::{Nic, NicConfig, NicEvent};
@@ -277,12 +282,118 @@ fn steady_state_e2e_zero_allocations_zero_slab_growth() {
 #[test]
 fn steady_state_nic_frame_allocates_only_the_returned_frame() {
     // Two Nics back to back at OC-12, 9180-octet SDUs keeping every
-    // payload slot full. The SDUs handed to `send` are built outside the
-    // counted window (the caller owns them), and delivered SDU buffers
-    // go back to B's reassembler. Inside the window the transmit queue,
-    // framer, aligner, parser, delineator and descrambler all reuse
-    // their buffers; the one allocation left is the frame `frame_tick`
-    // returns by value.
+    // payload slot full. The transmit queue, framer, aligner, parser,
+    // delineator and descrambler all reuse their buffers; the one
+    // allocation left is the frame `frame_tick` returns by value.
+    let counts = steady_state_nic_frames(106, |a, line| *line = a.frame_tick());
+    assert!(
+        counts.iter().all(|&n| n == 1),
+        "per-frame allocations {counts:?}"
+    );
+}
+
+#[test]
+fn steady_state_nic_frame_into_a_reused_buffer_allocates_nothing() {
+    // The same pair with every frame built into the one line buffer.
+    let counts = steady_state_nic_frames(106, Nic::frame_tick_into);
+    assert!(
+        counts.iter().all(|&n| n == 0),
+        "per-frame allocations {counts:?}"
+    );
+}
+
+#[test]
+fn steady_state_rx_burst_and_segment_into_allocate_nothing() {
+    // 64 SDUs in flight on 1024 open VCs, their cells interleaved
+    // round-robin, one cell per SDU per round, into 512-cell bursts; an
+    // SDU that runs out is replaced by the next, segmented straight into
+    // the slab. Each slot cycles through the simple-IMIX lengths from
+    // its own phase and over its own 16 VCs, so the lengths repeat
+    // every 15 bursts and the mix has a fixed working set of slab cells
+    // and SDU buffers. (Drawn at random, lengths keep setting rare new peaks of
+    // buffers in use, each a one-off allocation.) After warm-up, neither
+    // segmentation nor `rx_burst` plus `poll`, with delivered buffers
+    // recycled, allocates, burst after burst.
+    const IN_FLIGHT: usize = 64;
+    const BURST: usize = 512;
+    let cfg = NicConfig {
+        cam_capacity: 1024,
+        ..NicConfig::paper(LineRate::Oc12)
+    };
+    let vcs: Vec<VcId> = (0..1024u16)
+        .map(|i| VcId::new(i / 256, 32 + i % 256))
+        .collect();
+    let mut nic = Nic::new(cfg);
+    for &vc in &vcs {
+        nic.open_vc(vc).unwrap();
+    }
+    let sdus: Vec<Vec<u8>> = [40usize, 552, 1500, 44, 576]
+        .iter()
+        .map(|&len| (0..len).map(|i| (i * 7 % 251) as u8).collect())
+        .collect();
+    let mut slab = CellSlab::new();
+    // Per slot: its cells, the next one to send, and SDUs started.
+    let mut slots: Vec<(Vec<CellRef>, usize, usize)> =
+        (0..IN_FLIGHT).map(|s| (Vec::new(), 0, s)).collect();
+    let mut burst: Vec<CellRef> = Vec::with_capacity(BURST);
+    let (mut rr, mut delivered) = (0, 0u64);
+    let mut now = Time::ZERO;
+    let mut counts = Vec::new();
+    for step in 0..300 {
+        let mut seg_allocs = 0;
+        burst.clear();
+        while burst.len() < BURST {
+            let (refs, next, started) = &mut slots[rr];
+            if *next == refs.len() {
+                // Slot `rr` owns VCs rr, rr + 64, …: never two SDUs in
+                // flight on one VC.
+                let vc = vcs[rr + IN_FLIGHT * (*started % 16)];
+                let sdu = &sdus[*started % sdus.len()];
+                *started += 1;
+                refs.clear();
+                *next = 0;
+                seg_allocs += allocs_during(|| aal5::segment_into(vc, sdu, 0, &mut slab, refs)).1;
+            }
+            burst.push(refs[*next]);
+            *next += 1;
+            rr = (rr + 1) % IN_FLIGHT;
+        }
+        let (_, rx_allocs) = allocs_during(|| {
+            nic.rx_burst(&burst, &slab, now);
+            while let Some(ev) = nic.poll() {
+                match ev {
+                    NicEvent::PacketReceived { data, .. } => {
+                        assert!(sdus.contains(&data), "delivered SDU is one that was sent");
+                        delivered += 1;
+                        nic.recycle_sdu_buffer(data);
+                    }
+                    other => panic!("clean burst delivered {other:?}"),
+                }
+            }
+        });
+        slab.free_all(&burst);
+        now += LineRate::Oc12.cell_slot_time().times(BURST as u64);
+        if step >= 150 {
+            counts.push((seg_allocs, rx_allocs));
+        }
+    }
+    assert!(delivered > 10_000, "the mix must deliver SDUs: {delivered}");
+    assert!(
+        counts.iter().all(|&c| c == (0, 0)),
+        "per-burst (segment_into, rx_burst) allocations {counts:?}"
+    );
+}
+
+/// Drive `frames` steady-state frames through an OC-12 `Nic` pair kept
+/// full of 9180-octet SDUs, `tick` putting each frame of A into the one
+/// line buffer B reads. Returns the allocations of each frame, counted
+/// after 64 warm-up frames. The SDUs handed to `send` are built outside
+/// the counted window (the caller owns them), and delivered SDU buffers
+/// go back to B's reassembler.
+fn steady_state_nic_frames(
+    frames: usize,
+    mut tick: impl FnMut(&mut Nic, &mut Vec<u8>),
+) -> Vec<u64> {
     let rate = LineRate::Oc12;
     let vc = VcId::new(0, 32);
     let cfg = NicConfig::paper(rate);
@@ -293,14 +404,25 @@ fn steady_state_nic_frame_allocates_only_the_returned_frame() {
     let need = rate.payload_octets_per_frame();
     let mut now = Time::ZERO;
     let mut delivered = 0;
-    let mut frame = |a: &mut Nic, b: &mut Nic, now: Time| {
+    let mut line = Vec::new();
+    for _ in 0..64 {
+        if b.tc_receiver().delineator().is_synced() {
+            break;
+        }
+        let line = a.frame_tick();
+        b.receive_line_octets(&line, now);
+        now += rate.frame_time();
+    }
+    assert!(b.tc_receiver().delineator().is_synced());
+    let mut counts = Vec::new();
+    for i in 0..64 + frames {
         let mut ready: Vec<Vec<u8>> = (0..2).map(|_| sdu.clone()).collect();
         let (_, n) = allocs_during(|| {
             while a.tx_backlog_cells() * hni_atm::CELL_SIZE < need {
                 a.send(vc, ready.pop().expect("two SDUs cover a frame"), now)
                     .unwrap();
             }
-            let line = a.frame_tick();
+            tick(&mut a, &mut line);
             b.receive_line_octets(&line, now);
             while let Some(ev) = b.poll() {
                 match ev {
@@ -313,34 +435,12 @@ fn steady_state_nic_frame_allocates_only_the_returned_frame() {
                 }
             }
         });
-        n
-    };
-    // Idle frames until B aligns and delineates, then data frames until
-    // every buffer is at its working capacity.
-    for _ in 0..64 {
-        if b.tc_receiver().delineator().is_synced() {
-            break;
+        if i >= 64 {
+            counts.push(n);
         }
-        let line = a.frame_tick();
-        b.receive_line_octets(&line, now);
         now += rate.frame_time();
     }
-    assert!(b.tc_receiver().delineator().is_synced());
-    for _ in 0..64 {
-        frame(&mut a, &mut b, now);
-        now += rate.frame_time();
-    }
-    let counts: Vec<u64> = (0..106)
-        .map(|_| {
-            let n = frame(&mut a, &mut b, now);
-            now += rate.frame_time();
-            n
-        })
-        .collect();
     assert!(delivered > 0, "the pair must deliver SDUs");
-    assert!(
-        counts.iter().all(|&n| n == 1),
-        "per-frame allocations {counts:?}"
-    );
     assert_eq!(b.tc_receiver().parser().total_b1_errors(), 0);
+    counts
 }
